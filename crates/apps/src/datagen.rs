@@ -34,15 +34,31 @@ fn coprime_stride(n: usize) -> u64 {
     stride % n.max(1)
 }
 
-/// A table-based Zipf(s) sampler over `1..=n` (CDF + binary search; exact,
-/// adequate for n up to a few million).
+/// Most guide buckets a [`Zipf`] table gets: 2^16 `u32`s (256 KB) stay
+/// cache-resident while keeping the widest bucket at the WC input shape
+/// (600k keys, s = 1.05) under 256 CDF entries.
+const GUIDE_BITS_MAX: u32 = 16;
+
+/// A table-based Zipf(s) sampler over `1..=n`: the exact CDF plus a guide
+/// table ("indexed search", Chen & Asau 1974) that narrows each draw to one
+/// bucket of the CDF before a short binary search.
+///
+/// The guide splits `[0, 1)` into `M = 2^bits` equal buckets and records,
+/// for every bucket edge `j/M`, how many CDF entries lie below it. A draw
+/// `u = k·2^-53` (the same bits [`Rng::gen_f64`] uses) falls in bucket
+/// `j = k >> (53 - bits)` with `j/M ≤ u < (j+1)/M` exactly, because `M` is
+/// a power of two, so the rank `u` selects lies between `guide[j]` and
+/// `guide[j + 1]`. The result is the plain `cdf.partition_point(c < u)`
+/// for every draw, and each sample still consumes one `next_u64`.
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
+    bits: u32,
 }
 
 impl Zipf {
     pub fn new(n: usize, exponent: f64) -> Zipf {
-        assert!(n > 0);
+        assert!(n > 0 && n <= u32::MAX as usize);
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -53,13 +69,28 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        let bits = n.next_power_of_two().trailing_zeros().min(GUIDE_BITS_MAX);
+        let buckets = 1usize << bits;
+        // One sweep: `i` only moves forward as the edges `j/M` rise.
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut i = 0;
+        for j in 0..=buckets {
+            let edge = j as f64 / buckets as f64;
+            while i < n && cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Zipf { cdf, guide, bits }
     }
 
     /// Sample a rank in `0..n` (0 = most frequent).
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let u = rng.gen_f64();
-        self.cdf.partition_point(|&c| c < u)
+        let k = rng.next_u64() >> 11;
+        let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+        let j = (k >> (53 - self.bits)) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
 }
 
@@ -200,6 +231,13 @@ mod tests {
         let wc = fnv1a(words.iter().flat_map(|w| w.to_le_bytes()));
         assert_eq!(wc, 0x03d6c9c61dc2d4a3, "zipf_words(10000, 500, 42) drifted");
 
+        // Tail-heavy shape: more keys than draws, so many draws land in the
+        // wide guide buckets of the CDF's tail, where the bucket search does
+        // real work.
+        let tail = zipf_words(200_000, 600_000, 1);
+        let tc = fnv1a(tail.iter().flat_map(|w| w.to_le_bytes()));
+        assert_eq!(tc, 0x94a2991de08d9001, "zipf_words(200000, 600000, 1) drifted");
+
         let vecs = labeled_vectors(200, 8, 7);
         let vc = fnv1a(vecs.iter().flat_map(|p| {
             p.label.to_le_bytes().into_iter().chain(p.features.iter().flat_map(|f| f.to_le_bytes()))
@@ -212,6 +250,12 @@ mod tests {
         );
         assert_eq!(gc, 0xee96e6310686d07e, "power_law_graph(1000, 5000, 1) drifted");
 
+        let graph = power_law_graph(5_000, 40_000, 7);
+        let gc = fnv1a(
+            graph.iter().flat_map(|(s, d)| s.to_le_bytes().into_iter().chain(d.to_le_bytes())),
+        );
+        assert_eq!(gc, 0x50b313d49a180d67, "power_law_graph(5000, 40000, 7) drifted");
+
         let visits = uservisits(1_000, 50, 4);
         let uc = fnv1a(visits.iter().flat_map(|u| {
             u.ip_prefix
@@ -221,6 +265,75 @@ mod tests {
                 .chain(u.ad_revenue.to_le_bytes())
         }));
         assert_eq!(uc, 0xca44f7e6695176b2, "uservisits(1000, 50, 4) drifted");
+    }
+
+    /// Hands out one fixed 64-bit draw, and panics on a second one.
+    struct OneDraw(Option<u64>);
+
+    impl Rng for OneDraw {
+        fn next_u64(&mut self) -> u64 {
+            self.0.take().expect("a Zipf sample must consume exactly one draw")
+        }
+    }
+
+    /// The reference the guide table must reproduce: a binary search of the
+    /// whole CDF for the `u` that `Rng::gen_f64` forms from the same bits.
+    fn oracle(zipf: &Zipf, k: u64) -> usize {
+        let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+        zipf.cdf.partition_point(|&c| c < u)
+    }
+
+    /// Sample `zipf` at every bucket edge, the draw just below each edge,
+    /// the largest draw and the draws in `extra`, and compare each with the
+    /// oracle.
+    fn matches_oracle(zipf: &Zipf, extra: &[u64]) -> deca_check::TestResult {
+        let shift = 53 - zipf.bits;
+        let edges = (0..1u64 << zipf.bits).flat_map(|j| {
+            let k = j << shift;
+            [k, k.saturating_sub(1)]
+        });
+        for k in edges.chain([(1u64 << 53) - 1]).chain(extra.iter().copied()) {
+            let got = zipf.sample(&mut OneDraw(Some(k << 11)));
+            let want = oracle(zipf, k);
+            if got != want {
+                return Err(format!("k={k}: guide table gave {got}, full search {want}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn guide_table_sampling_equals_full_cdf_search() {
+        use deca_check::property::{check, gens, Config};
+
+        const EXPONENTS: [f64; 3] = [0.9, 1.05, 1.5];
+        let gen = gens::pair(
+            gens::pair(gens::usize_in(1..(1 << 20) + 1), gens::usize_in(0..EXPONENTS.len())),
+            gens::any_i64(),
+        );
+        check(Config::with_cases(24), gen, |&((n, e), seed)| {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed as u64);
+            let random: Vec<u64> = (0..2_000).map(|_| rng.next_u64() >> 11).collect();
+            matches_oracle(&Zipf::new(n, EXPONENTS[e]), &random)
+        });
+    }
+
+    #[test]
+    fn guide_table_is_exact_when_cdf_entries_sit_on_bucket_edges() {
+        // Uniform (s = 0) over a power of two: every CDF entry is a dyadic
+        // rational, so entries and draws tie exactly at the bucket edges.
+        for bits in 0..=20 {
+            matches_oracle(&Zipf::new(1 << bits, 0.0), &[]).unwrap();
+        }
+    }
+
+    #[test]
+    fn guide_buckets_are_narrow_at_the_wordcount_shape() {
+        // At the WC input shape every draw searches at most 256 CDF entries,
+        // i.e. at most 9 probes, wherever it lands.
+        let zipf = Zipf::new(600_000, 1.05);
+        let widest = zipf.guide.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+        assert!(widest <= 256, "widest guide bucket holds {widest} CDF entries");
     }
 
     #[test]

@@ -1565,7 +1565,11 @@ impl DecaServer {
             result: Mutex::new(None),
             cv: Condvar::new(),
         });
-        lock(&self.jobs).push(state.clone());
+        // Only `merged_trace` reads this list, and an untraced server's job
+        // traces are empty, so such a server keeps no finished job's state.
+        if self.inner.exec_config.tracing {
+            lock(&self.jobs).push(state.clone());
+        }
         {
             let mut pool = lock(&self.inner.pool);
             pool.queue.push_back(QueuedJob {
@@ -1650,7 +1654,8 @@ impl DecaServer {
 
     /// Every finished job's trace merged, in submission order. Per-job
     /// views come from [`RunTrace::of_job`]; events never bleed across
-    /// jobs because every event is job-stamped at record time.
+    /// jobs because every event is job-stamped at record time. Empty on a
+    /// server whose executors do not trace.
     pub fn merged_trace(&self) -> RunTrace {
         let mut events: Vec<TraceEvent> = Vec::new();
         for s in lock(&self.jobs).iter() {
@@ -1905,5 +1910,16 @@ mod tests {
         assert_eq!(jobs, vec![a.id(), b.id()]);
         assert_eq!(merged.of_job(a.id()).count(), ra.trace.len());
         assert_eq!(merged.of_job(b.id()).count(), rb.trace.len());
+    }
+
+    #[test]
+    fn untraced_server_keeps_no_finished_jobs() {
+        let server = DecaServer::new(2, cfg().tracing(false));
+        for _ in 0..3 {
+            let h = server.submit(JobSpec::new("t").app(sum_job())).unwrap();
+            assert!(h.wait().unwrap().trace.is_empty());
+        }
+        assert!(lock(&server.jobs).is_empty());
+        assert!(server.merged_trace().is_empty());
     }
 }

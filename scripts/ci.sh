@@ -162,6 +162,20 @@ cargo run --release --offline -q --example job_service
 echo "== watchdog/cancel example (the README robustness snippet, checksum-asserted) =="
 cargo run --release --offline -q --example watchdog_cancel
 
+echo "== job benchmark self-checks (panic accounting, references, ledger) =="
+# jobbench's own tests check that a panicking job is counted as failed.
+# A short traced wc-shuffle run then checks the recorded 4M-word reference
+# checksums and that the per-layer ledger reconciles: its last line must
+# report "correct": true.
+cargo test -q --offline --manifest-path jobbench/Cargo.toml
+if ! jobbench_last=$(python3 jobbench/run.py --workload wc-shuffle --seed 0 --seconds 6 --trace 1 | tail -n 1) ||
+    ! printf '%s' "$jobbench_last" | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
+  echo "jobbench wc-shuffle self-check failed; last line: $jobbench_last"
+  echo "replay locally with:"
+  echo "  python3 jobbench/run.py --workload wc-shuffle --seed 0 --seconds 6 --trace 1"
+  exit 1
+fi
+
 echo "== perf gate (vs committed BENCH baselines) =="
 # The gate re-measures every cell at the committed record's scale and
 # compares best-of-N times against the newest committed BENCH_*.json — copied
