@@ -23,6 +23,8 @@
 //! preserve the properties the experiments depend on: key skew, degree
 //! skew, dimensionality, and cache-to-heap ratios.
 
+#![forbid(unsafe_code)]
+
 pub mod concomp;
 pub mod datagen;
 pub mod kmeans;

@@ -3,6 +3,8 @@
 //! run per submitted job by the hybrid optimizer (Appendix A). Both should
 //! be microseconds at workload scale.
 
+#![forbid(unsafe_code)]
+
 use deca_check::{criterion_group, criterion_main, Criterion};
 use deca_udt::fixtures::lr_program;
 use deca_udt::{classify_local, GlobalAnalysis, TypeRef};

@@ -2,6 +2,8 @@
 //! full-GC trace cost as a function of the live cached set — the scaling
 //! law behind the paper's §6.2 (full collections cost O(live objects)).
 
+#![forbid(unsafe_code)]
+
 use deca_check::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use deca_heap::{ClassBuilder, FieldKind, Heap, HeapConfig};
 

@@ -2,6 +2,8 @@
 //! ablation (§2.3: pages too small cost GC overhead, too large waste
 //! space — here we also see the framing and per-page registration costs).
 
+#![forbid(unsafe_code)]
+
 use deca_check::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use deca_core::{DecaCacheBlock, MemoryManager};
 use deca_heap::{Heap, HeapConfig};

@@ -11,6 +11,8 @@
 //! cost several-fold and the harness becomes the workload. Run with
 //! `cargo bench --bench serializer` and compare the two cells.
 
+#![forbid(unsafe_code)]
+
 use deca_apps::records::LabeledPointRec;
 use deca_check::{criterion_group, criterion_main, Criterion};
 use deca_core::DecaRecord;

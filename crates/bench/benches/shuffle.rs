@@ -2,6 +2,8 @@
 //! Value object per combine) vs decomposed in-place segment reuse —
 //! the §4.3.2 optimisation in isolation.
 
+#![forbid(unsafe_code)]
+
 use deca_check::{criterion_group, criterion_main, Criterion};
 use deca_core::{DecaHashShuffle, MemoryManager};
 use deca_engine::SparkHashShuffle;

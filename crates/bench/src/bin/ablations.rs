@@ -9,6 +9,8 @@
 //! * **phased refinement** (§3.4): how many of the workload UDTs become
 //!   decomposable with and without it.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use deca_bench::{mb, table_header, table_row};

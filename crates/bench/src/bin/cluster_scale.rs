@@ -9,6 +9,8 @@
 //! multi-core host), and the Deca-vs-Spark ratio persists per executor —
 //! the GC pathology is a per-heap phenomenon.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use deca_apps::wordcount::{run_local, WcParams};

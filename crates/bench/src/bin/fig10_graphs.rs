@@ -6,6 +6,8 @@
 //! each iteration's shuffle buffers are released and collected, relieving
 //! memory stress; SparkSer ≈ Spark (the deser cost offsets the GC gain).
 
+#![forbid(unsafe_code)]
+
 use deca_apps::concomp::{self, CcParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::report::{speedup, AppReport};

@@ -6,6 +6,8 @@
 //! * WC/PR shuffle tasks: compute vs shuffle read/write — Spark pays
 //!   shuffle serialization, Deca moves raw bytes.
 
+#![forbid(unsafe_code)]
+
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_bench::{table_header, table_row, Scale};

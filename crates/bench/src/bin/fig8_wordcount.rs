@@ -6,6 +6,8 @@
 //!   key counts; Deca should win by 10–58%+ with the gap growing in the
 //!   key count.
 
+#![forbid(unsafe_code)]
+
 use deca_apps::report::speedup;
 use deca_apps::wordcount::{self, run, WcParams};
 use deca_bench::{secs, table_header, table_row, Scale};

@@ -9,6 +9,8 @@
 //! beyond capacity → Deca 16–41x with Spark full-GC-bound and swapping;
 //! Deca's cache is smaller throughout (10-dim data; Figure 2's bloat).
 
+#![forbid(unsafe_code)]
+
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::report::{speedup, AppReport};

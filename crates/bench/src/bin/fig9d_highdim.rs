@@ -6,6 +6,8 @@
 //! speedups shrink to the paper's 1.2–5.3x (the GC still traces one object
 //! graph per point, but there are far fewer points per byte).
 
+#![forbid(unsafe_code)]
+
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::report::speedup;

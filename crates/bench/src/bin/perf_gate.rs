@@ -83,6 +83,8 @@
 //! CONC-PAUSE) are re-measured once on a miss: both runs are printed
 //! and the gate takes the better one.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use deca_apps::logreg::{self, LrParams};

@@ -8,6 +8,8 @@
 //! Exits non-zero if any shape check fails. `DECA_BENCH_SCALE` scales the
 //! datasets as usual.
 
+#![forbid(unsafe_code)]
+
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::report::{gc_reduction, speedup};
 use deca_apps::sql::{self, SqlParams, SqlSystem};

@@ -5,6 +5,8 @@
 //! reduction. Paper: Spark GC ratios 40.5–78.9%; Deca reductions
 //! 97.5–99.9%.
 
+#![forbid(unsafe_code)]
+
 use deca_apps::concomp::{self, CcParams};
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};

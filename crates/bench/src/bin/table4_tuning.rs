@@ -11,6 +11,8 @@
 //! via mutator overhead. The checksum column of the plan matrix is the
 //! equivalence witness: every plan must produce the identical result.
 
+#![forbid(unsafe_code)]
+
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_bench::{secs, table_header, table_row, Scale};

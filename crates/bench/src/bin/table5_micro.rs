@@ -9,6 +9,8 @@
 //!   beats Spark because Spark's shuffle path reads auto-boxed objects;
 //! * avg serialize per object: Deca ≈ Kryo; Deca deserialize: none.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use deca_apps::logreg::{self, LrParams};

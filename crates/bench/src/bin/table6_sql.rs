@@ -7,6 +7,8 @@
 //! biggest cache; Deca ≈ Spark SQL at ~2x Spark, with about half the
 //! cache.
 
+#![forbid(unsafe_code)]
+
 use deca_apps::sql::{run_query1, run_query2, run_query3, SqlParams, SqlSystem};
 use deca_bench::{mb, secs, table_header, table_row, Scale};
 

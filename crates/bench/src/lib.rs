@@ -10,6 +10,8 @@
 //! Run a harness with e.g.
 //! `cargo run --release -p deca-bench --bin fig9_lr_kmeans`.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 /// Global scale preset. The paper's experiments use 2–200 GB datasets on

@@ -23,6 +23,8 @@
 //! al., PVLDB 2016, §2.3/§4) are only as good as their tests, and those
 //! tests must run offline, repeatably, forever.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod json;
 pub mod property;

@@ -58,6 +58,8 @@
 //! assert_eq!(heap.external_bytes(), 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod group;
 pub mod layout;

@@ -119,9 +119,8 @@ impl LocalCluster {
     }
 }
 
-/// [`LocalCluster::healthy_count`] over any health slice. The job
-/// service's virtual per-job health records reuse these scans so its
-/// retry decisions match the standalone driver's exactly.
+/// [`LocalCluster::healthy_count`] over any health slice (the stage
+/// engine's width-`W` table, physical or a server job's virtual one).
 pub fn healthy_count_in(health: &[ExecutorHealth]) -> usize {
     health.iter().filter(|h| !h.quarantined).count()
 }

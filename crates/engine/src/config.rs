@@ -56,7 +56,8 @@ pub struct RetryPolicy {
     /// exceeds twice the round's median completed-task time. First
     /// completion wins; the loser is cancelled cooperatively; the winner
     /// is reconciled deterministically in task order so results and the
-    /// recovery roll-up stay bit-identical with speculation off.
+    /// recovery roll-up stay bit-identical with speculation off. Jobs on
+    /// the job service never speculate (see `JobSpec::retry`).
     pub speculate: bool,
 }
 
@@ -439,7 +440,7 @@ impl ExecutorConfigBuilder {
 /// to tenants never configured explicitly.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Shared physical executors (one worker thread each).
+    /// Shared physical executors; each attempt locks one for its duration.
     pub executors: usize,
     /// Job-runner threads — the ceiling on jobs *executing* concurrently
     /// (queued jobs wait for a free runner). `0` means "same as

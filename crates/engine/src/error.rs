@@ -59,8 +59,8 @@ pub enum EngineError {
     /// The job service is shutting down (or has shut down) and no longer
     /// accepts or runs jobs.
     ServerShutdown,
-    /// A task body panicked on a worker thread. The panic was caught at
-    /// the pool boundary so one bad job cannot wedge the shared cluster.
+    /// A task body panicked on a server executor. The panic was caught
+    /// around the attempt so one bad job cannot wedge the shared cluster.
     TaskPanic { stage: String, task: usize, message: String },
     /// A task failed; carries the stage and task index for diagnosis.
     Task { stage: String, task: usize, source: Box<EngineError> },

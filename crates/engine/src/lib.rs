@@ -22,6 +22,11 @@
 //! compute, tracing, copying and (de)serialization costs are real measured
 //! work; see DESIGN.md §1 for the substitution argument.
 
+// One function may erase a lifetime: the job service's hand-off of a
+// stage's claimers to its long-lived worker threads
+// (`server::JobSlots::run_claimers`).
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod cluster;
 pub mod config;
@@ -35,6 +40,7 @@ pub mod serde_sim;
 pub mod server;
 pub mod session;
 pub mod shuffle;
+mod stage;
 pub mod trace;
 
 pub use cache::{CacheError, CacheStats, CachedRdd, RehydrateOutcome, Tier};
@@ -49,7 +55,7 @@ pub use faults::{FaultPlan, FaultSite, FaultSpec};
 pub use metrics::{GcAccounting, JobMetrics, StageMetrics, TaskMetrics, Timeline, TimelineSample};
 pub use record::{HeapRecord, KryoRecord, Record};
 pub use serde_sim::KryoSim;
-pub use server::{AppJob, DecaServer, JobCtx, JobHandle, JobOutput, JobSpec, ServerJobSession};
+pub use server::{AppJob, DecaServer, JobCtx, JobHandle, JobOutput, JobSpec};
 pub use session::{Cached, DecaSession};
 pub use shuffle::{SparkGroupShuffle, SparkHashShuffle};
 pub use trace::{RunTrace, TraceEvent, TraceEventKind, TraceRecorder};

@@ -16,36 +16,32 @@
 //!
 //! ## Execution model
 //!
-//! The server owns `E` physical executors, each bound to one *worker*
-//! thread (executor state is only ever touched by a worker holding its
-//! mutex, preserving the single-writer discipline the deterministic
-//! heap/GC model relies on). `R` *runner* threads drain the submission
-//! queue; each runs one job's driver loop ([`ServerJobSession`], a port of
-//! the standalone [`ClusterSession`] retry engine) and publishes rounds of
-//! claimable task slots into a shared pool — the PR-5 pull scheduler's
-//! claim list generalized across jobs.
-//!
-//! Workers claim slots under the pool lock: **affinity first** (a slot
-//! whose home maps to this worker, lowest task index first — pinned
-//! fault-affected slots are only ever claimable here), then **steals**
-//! (unpinned slots of pull-mode jobs, ascending). When several jobs have
-//! claimable work, a worker picks the job with the fewest claims already
-//! running (ties to the lowest job id): cross-job **fair sharing** without
-//! per-job worker reservations.
+//! The server owns `E` physical executors, each behind a mutex (executor
+//! state is only ever touched by the thread holding it, preserving the
+//! single-writer discipline the deterministic heap/GC model relies on) and
+//! each with one long-lived *worker* thread. `R` *runner* threads drain
+//! the submission queue; each runs one job at a time through the same
+//! stage engine a standalone [`ClusterSession`] uses. A stage's scheduling
+//! round queues claimer `v` (one per virtual executor) on the worker of
+//! physical executor `v % E`. Each turn of a claimer locks the executor
+//! for one attempt and stamps it with the job and tenant; a claimer with
+//! more to do goes to the back of the queue, so concurrent jobs share each
+//! executor attempt by attempt, with no per-job reservations.
 //!
 //! ## Virtual executors
 //!
 //! A job runs at a *width* `W` chosen in its [`JobSpec`] — its task→home
 //! mapping, retry round-robin, and failure charging all use `W` virtual
 //! executors, exactly as a standalone `ClusterSession::new(W, ..)` would.
-//! Virtual executor `v` executes on physical worker `v % E`. Injected
+//! Virtual executor `v` executes on physical executor `v % E`. Injected
 //! faults poison the job's *virtual* executor (a per-job atomic flag),
 //! never the shared process: one tenant's fault plan cannot take a
 //! physical executor away from everyone else. Because app bodies are
 //! deterministic in `(task, partition data)` and recompute executor-local
 //! state from lineage when it is missing, a job's results are bit-identical
 //! to its standalone run at the same width — the server soak asserts this
-//! for hundreds of concurrent submissions.
+//! for hundreds of concurrent submissions. Served jobs never speculate
+//! (see [`JobSpec::retry`]).
 //!
 //! ## Tenancy
 //!
@@ -59,42 +55,29 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::cluster::{
-    exchange, healthy_after_in, healthy_count_in, healthy_from_in, ExecutorHealth, LocalCluster,
-};
-use crate::config::{ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
-use crate::driver::{
-    pin_faulted_slots_in, ClusterSession, MapOutputs, ShufflePayload, TaskContext,
-};
+use crate::cluster::{ExecutorHealth, LocalCluster};
+use crate::config::{ExecutionMode, ExecutorConfig, RetryPolicy, SchedulerMode, ServerConfig};
+use crate::driver::{ClusterSession, MapOutputs, ShufflePayload, TaskContext};
 use crate::error::EngineError;
 use crate::executor::Executor;
-use crate::faults::{FaultPlan, FaultSite};
+use crate::faults::FaultPlan;
 use crate::metrics::{JobMetrics, StageMetrics};
-use crate::trace::{dur_ns, RunTrace, TraceEvent, TraceEventKind, TraceRecorder};
+use crate::stage::{panic_message, Backend, Claimer, Poison, Slot, StageEngine};
+use crate::trace::{RunTrace, TraceEvent};
 
 /// Lock a mutex, riding through poisoning: a panicking task body is caught
-/// at the pool boundary and surfaced as [`EngineError::TaskPanic`], so a
-/// poisoned lock only means "a panic unwound here once", never that the
-/// protected state is torn (executor state is updated transactionally per
-/// task).
+/// per attempt and surfaced as [`EngineError::TaskPanic`], so a poisoned
+/// lock only means "a panic unwound here once", never that the protected
+/// state is torn (executor state is updated transactionally per task).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn panic_message(p: Box<dyn Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "task panicked".to_string()
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -136,61 +119,45 @@ impl std::fmt::Debug for AppJob {
     }
 }
 
-enum JobDriver<'a> {
-    Local(&'a mut ClusterSession),
-    Server(&'a mut ServerJobSession),
-}
-
-/// The stage API an [`AppJob`] body runs against — a [`ClusterSession`]
-/// standalone or a [`ServerJobSession`] on the server, with identical
-/// semantics (same retry engine, same task→home mapping, same
-/// deterministic results).
+/// The stage API an [`AppJob`] body runs against: the stage engine over a
+/// standalone [`ClusterSession`]'s executors or over a server job's
+/// virtual executors, with identical semantics (same retry loop, same
+/// task→home mapping, same deterministic results).
 pub struct JobCtx<'a> {
-    driver: JobDriver<'a>,
+    engine: &'a mut StageEngine,
+    backend: &'a mut dyn Backend,
     noted_cache_bytes: usize,
 }
 
 impl<'a> JobCtx<'a> {
     /// A context over a standalone session (the apps' `run_local` path).
     pub fn local(session: &'a mut ClusterSession) -> JobCtx<'a> {
-        JobCtx { driver: JobDriver::Local(session), noted_cache_bytes: 0 }
-    }
-
-    pub(crate) fn server(session: &'a mut ServerJobSession) -> JobCtx<'a> {
-        JobCtx { driver: JobDriver::Server(session), noted_cache_bytes: 0 }
+        let (engine, backend) = session.parts();
+        JobCtx { engine, backend, noted_cache_bytes: 0 }
     }
 
     /// The job's executor width (virtual width on the server).
     pub fn executors(&self) -> usize {
-        match &self.driver {
-            JobDriver::Local(s) => s.executors(),
-            JobDriver::Server(s) => s.width(),
-        }
+        self.backend.width()
     }
 
-    pub fn mode(&self) -> crate::config::ExecutionMode {
-        match &self.driver {
-            JobDriver::Local(s) => s.mode(),
-            JobDriver::Server(s) => s.mode(),
-        }
+    pub fn mode(&self) -> ExecutionMode {
+        self.backend.mode()
     }
 
     /// Run one stage; see [`ClusterSession::run_stage`].
-    pub fn run_stage<R: Send + 'static>(
+    pub fn run_stage<R: Send>(
         &mut self,
         name: &str,
         tasks: usize,
         f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
     ) -> Result<Vec<R>, EngineError> {
-        match &mut self.driver {
-            JobDriver::Local(s) => s.run_stage(name, tasks, f),
-            JobDriver::Server(s) => s.run_stage(name, tasks, f),
-        }
+        self.engine.run_stage(self.backend, name, tasks, f, false)
     }
 
     /// Run a map/exchange/reduce stage pair; see
     /// [`ClusterSession::run_shuffle_job`].
-    pub fn run_shuffle_job<R: Send + 'static>(
+    pub fn run_shuffle_job<R: Send>(
         &mut self,
         name: &str,
         map_tasks: usize,
@@ -198,10 +165,7 @@ impl<'a> JobCtx<'a> {
         map: impl Fn(&TaskContext, &mut Executor) -> Result<MapOutputs, EngineError> + Sync,
         reduce: impl Fn(&TaskContext, &mut Executor, &[ShufflePayload]) -> Result<R, EngineError> + Sync,
     ) -> Result<Vec<R>, EngineError> {
-        match &mut self.driver {
-            JobDriver::Local(s) => s.run_shuffle_job(name, map_tasks, reduce_tasks, map, reduce),
-            JobDriver::Server(s) => s.run_shuffle_job(name, map_tasks, reduce_tasks, map, reduce),
-        }
+        self.engine.run_shuffle_job(self.backend, name, map_tasks, reduce_tasks, map, reduce)
     }
 
     /// Snapshot the job's current cached footprint (resident + spilled)
@@ -209,14 +173,7 @@ impl<'a> JobCtx<'a> {
     /// their caches are fully built (e.g. after the adjacency-build
     /// stage), since end-of-job cleanup releases the blocks.
     pub fn note_cache_bytes(&mut self) {
-        self.noted_cache_bytes = match &mut self.driver {
-            JobDriver::Local(s) => {
-                s.finish_job();
-                let m = s.job_summary();
-                m.cache_bytes + m.swapped_cache_bytes
-            }
-            JobDriver::Server(s) => s.job_cache_bytes(),
-        };
+        self.noted_cache_bytes = self.backend.cache_bytes();
     }
 
     /// The footprint recorded by the last [`JobCtx::note_cache_bytes`].
@@ -266,12 +223,16 @@ impl JobSpec {
 
     /// The job's virtual executor width (task homes are `task % width`).
     /// Defaults to the server's physical executor count. May exceed it:
-    /// virtual executors share physical workers round-robin.
+    /// virtual executors share physical executors round-robin.
     pub fn executors(mut self, n: usize) -> JobSpec {
         self.executors = n;
         self
     }
 
+    /// The job's retry policy (default: the server's executor config).
+    /// Its `speculate` bit is ignored: served jobs never launch
+    /// speculative duplicates, because a duplicate would occupy a shared
+    /// executor that other tenants' jobs are waiting for.
     pub fn retry(mut self, policy: RetryPolicy) -> JobSpec {
         self.retry = Some(policy);
         self
@@ -293,8 +254,8 @@ impl JobSpec {
     /// A wall-clock deadline measured from submission. A job past its
     /// deadline is cancelled cooperatively at its next stage or round
     /// boundary (and never starts at all if it is still queued), failing
-    /// with [`EngineError::Cancelled`] and releasing its admission slot,
-    /// claim-pool slots, and job-stamped cache entries.
+    /// with [`EngineError::Cancelled`] and releasing its admission slot
+    /// and job-stamped cache entries.
     pub fn deadline(mut self, d: Duration) -> JobSpec {
         self.deadline = Some(d);
         self
@@ -324,8 +285,8 @@ pub struct JobOutput {
 struct JobState {
     id: u64,
     tenant: String,
-    /// The cooperative cancel flag, shared with the job's session and its
-    /// published rounds so in-flight attempts can observe it.
+    /// The cooperative cancel flag, shared with the job's stage engine so
+    /// in-flight attempts can observe it.
     cancelled: Arc<AtomicBool>,
     /// Metrics and trace of a job that *failed* (cancelled, deadline,
     /// fatal error): the partial roll-up up to the failure point, so
@@ -402,74 +363,17 @@ impl JobHandle {
     /// Request cooperative cancellation. A still-queued job never starts;
     /// a running job fails fast at its next round boundary (in-flight
     /// attempts observe [`TaskContext::is_cancelled`] and fail with
-    /// [`EngineError::Cancelled`]), and its tenant admission slot,
-    /// claim-pool slots, and job-stamped cache entries are released
-    /// through the normal end-of-job cleanup. Idempotent; a no-op once
-    /// the job has finished.
+    /// [`EngineError::Cancelled`]), and its tenant admission slot and
+    /// job-stamped cache entries are released through the normal
+    /// end-of-job cleanup. Idempotent; a no-op once the job has finished.
     pub fn cancel(&self) {
         self.state.cancelled.store(true, Ordering::Relaxed);
     }
 }
 
 // ----------------------------------------------------------------------
-// the shared task pool
+// the server's stage-engine backend
 // ----------------------------------------------------------------------
-
-type ErasedResult = Box<dyn Any + Send>;
-type TaskFn<'a> =
-    &'a (dyn Fn(&TaskContext, &mut Executor) -> Result<ErasedResult, EngineError> + Sync);
-
-/// What a worker hands back for one executed slot: the attempt outcome
-/// plus the task metrics and trace events it produced on the physical
-/// executor, routed to the owning job's session for per-job roll-up.
-struct SlotDone {
-    task: usize,
-    attempt: u32,
-    vhome: usize,
-    result: Result<ErasedResult, EngineError>,
-    oom_rerun: bool,
-    oom_recovered: bool,
-    task_metrics: Vec<crate::metrics::TaskMetrics>,
-    events: Vec<TraceEvent>,
-}
-
-struct RoundState {
-    done: Vec<Option<SlotDone>>,
-    completed: usize,
-}
-
-/// One scheduling round of one job's stage, published to the pool: the
-/// cross-job generalization of the pull scheduler's claim list. Slots are
-/// `(task, attempt, virtual home)` sorted ascending by task.
-struct Round {
-    job: u64,
-    tenant: u32,
-    stage: String,
-    tasks: usize,
-    slots: Vec<(usize, u32, usize)>,
-    /// Slots that must run at home (fault-affected; see
-    /// `pin_faulted_slots_in`). Wave-mode jobs pin everything.
-    pinned: Vec<bool>,
-    claimed: Vec<AtomicBool>,
-    /// Whether non-home workers may claim unpinned slots (pull mode).
-    steal: bool,
-    shuffle_stage: bool,
-    plan: FaultPlan,
-    policy: RetryPolicy,
-    /// The owning job's virtual-executor poison flags (width-sized,
-    /// persistent across the job's stages).
-    vpoison: Arc<Vec<AtomicBool>>,
-    /// The owning job's cooperative cancel flag: set, remaining attempts
-    /// of this round fail fast with [`EngineError::Cancelled`] so the
-    /// round still fully retires and releases its claim-pool slots.
-    cancel: Arc<AtomicBool>,
-    /// Borrowed from the runner's `run_stage` frame. SAFETY: the frame
-    /// waits for every slot's `SlotDone` and retires the round from the
-    /// pool before returning, so no worker dereferences this afterwards.
-    body: TaskFn<'static>,
-    state: Mutex<RoundState>,
-    done_cv: Condvar,
-}
 
 struct QueuedJob {
     id: u64,
@@ -480,37 +384,6 @@ struct QueuedJob {
     submitted: Instant,
 }
 
-struct PoolState {
-    rounds: Vec<Arc<Round>>,
-    queue: VecDeque<QueuedJob>,
-    /// Jobs admitted but not yet finished (queued or running). Workers
-    /// may only exit when this reaches zero after shutdown.
-    active_jobs: usize,
-    /// Claims currently executing per job — the fair-share signal.
-    running: Vec<(u64, usize)>,
-}
-
-fn running_of(pool: &PoolState, job: u64) -> usize {
-    pool.running.iter().find(|(j, _)| *j == job).map(|(_, n)| *n).unwrap_or(0)
-}
-
-fn bump_running(pool: &mut PoolState, job: u64, up: bool) {
-    match pool.running.iter_mut().find(|(j, _)| *j == job) {
-        Some(slot) => {
-            if up {
-                slot.1 += 1;
-            } else {
-                slot.1 = slot.1.saturating_sub(1);
-            }
-        }
-        None => {
-            if up {
-                pool.running.push((job, 1));
-            }
-        }
-    }
-}
-
 struct TenantState {
     name: String,
     id: u32,
@@ -518,12 +391,58 @@ struct TenantState {
     in_flight: usize,
 }
 
+/// The tenant named `name`, created with cap `default_cap` if never seen.
+fn tenant_entry<'t>(
+    tenants: &'t mut Vec<TenantState>,
+    name: &str,
+    default_cap: usize,
+) -> &'t mut TenantState {
+    let i = match tenants.iter().position(|t| t.name == name) {
+        Some(i) => i,
+        None => {
+            let id = tenants.len() as u32 + 1;
+            let name = name.to_string();
+            tenants.push(TenantState { name, id, max_in_flight: default_cap, in_flight: 0 });
+            tenants.len() - 1
+        }
+    };
+    &mut tenants[i]
+}
+
+/// One claimer of a job's round, queued on a worker thread. Each turn
+/// runs one claiming step; a claimer with more to do goes to the back of
+/// the queue, so a worker alternates between the jobs it serves attempt
+/// by attempt.
+struct Turn {
+    step: &'static (dyn Fn(usize) -> bool + Sync),
+    w: usize,
+    queue: Sender<Turn>,
+    /// Receives the claimer's end: `None`, or the payload of a panic.
+    report: Sender<Option<Box<dyn Any + Send>>>,
+}
+
+impl Turn {
+    fn take(self) {
+        match catch_unwind(AssertUnwindSafe(|| (self.step)(self.w))) {
+            Ok(true) => {
+                let queue = self.queue.clone();
+                let _ = queue.send(self);
+            }
+            outcome => {
+                let Turn { report, .. } = self;
+                let _ = report.send(outcome.err());
+            }
+        }
+    }
+}
+
 struct ServerInner {
     executors: Vec<Mutex<Executor>>,
+    /// One queue per executor's worker thread; cleared at shutdown, once
+    /// the runners are done, to stop the workers.
+    work: Mutex<Vec<Sender<Turn>>>,
     exec_config: ExecutorConfig,
-    pool: Mutex<PoolState>,
-    /// Workers wait here for claimable slots (and shutdown).
-    work_cv: Condvar,
+    queue: Mutex<VecDeque<QueuedJob>>,
     /// Runners wait here for queued jobs (and shutdown).
     job_cv: Condvar,
     shutdown: AtomicBool,
@@ -532,811 +451,147 @@ struct ServerInner {
     default_max_in_flight: usize,
 }
 
-// ----------------------------------------------------------------------
-// worker threads
-// ----------------------------------------------------------------------
-
-/// Pick the best claimable slot for `worker` under the pool lock, or
-/// `None` to wait. Affinity candidates (home slot on this worker — the
-/// only way pinned slots run) beat steal candidates across all rounds;
-/// within a class, prefer the job with the fewest running claims, tie on
-/// the lower job id, then the lower task index — deterministic fair
-/// sharing.
-fn find_claim(pool: &PoolState, worker: usize, executors: usize) -> Option<(usize, usize)> {
-    let mut best: Option<((bool, usize, u64, usize), usize, usize)> = None;
-    for (ri, round) in pool.rounds.iter().enumerate() {
-        let mut cand: Option<(usize, usize, bool)> = None;
-        for (j, &(t, _a, v)) in round.slots.iter().enumerate() {
-            if round.claimed[j].load(Ordering::Relaxed) {
-                continue;
-            }
-            if v % executors == worker {
-                cand = Some((j, t, false));
-                break;
-            }
-        }
-        if cand.is_none() && round.steal {
-            for (j, &(t, _a, v)) in round.slots.iter().enumerate() {
-                if round.pinned[j]
-                    || round.claimed[j].load(Ordering::Relaxed)
-                    || v % executors == worker
-                {
-                    continue;
-                }
-                cand = Some((j, t, true));
-                break;
-            }
-        }
-        let Some((j, t, steal)) = cand else { continue };
-        let key = (steal, running_of(pool, round.job), round.job, t);
-        if best.as_ref().is_none_or(|(k, ..)| key < *k) {
-            best = Some((key, ri, j));
-        }
-    }
-    best.map(|(_, ri, j)| (ri, j))
-}
-
-/// One physical attempt of slot `(t, a)` of `round` on `worker` — the
-/// server port of the driver's `run_attempt`, with the crash machinery
-/// redirected at the job's virtual executor `v`: poison checks read and
-/// set `vpoison[v]`, never the shared process. Fault decisions are pure
-/// functions of `(site, stage, task, attempt)`, so a job's failure
-/// scenario is identical to its standalone run at the same width.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    round: &Round,
-    e: &mut Executor,
-    worker: usize,
-    executors: usize,
-    t: usize,
-    a: u32,
-    v: usize,
-) -> (Result<ErasedResult, EngineError>, bool, bool) {
-    let name = round.stage.as_str();
-    let plan = &round.plan;
-    let vpoison = &round.vpoison[v];
-    let cancel = &*round.cancel;
-    let ctx = TaskContext {
-        stage: name,
-        task: t,
-        tasks: round.tasks,
-        executor: worker,
-        executors,
-        cancel,
-    };
-    let body = round.body;
-    // Panics are caught per attempt so one bad job body cannot wedge the
-    // shared worker (they surface as fatal `TaskPanic` errors).
-    let run_body = |e: &mut Executor| -> Result<ErasedResult, EngineError> {
-        match catch_unwind(AssertUnwindSafe(|| body(&ctx, e))) {
-            Ok(r) => r,
-            Err(p) => Err(EngineError::TaskPanic {
-                stage: name.to_string(),
-                task: t,
-                message: panic_message(p),
-            }),
-        }
-    };
-    let mut oom_rerun = false;
-    let mut oom_recovered = false;
-    let mut r = e.run_task_in(format!("{name}-{t}"), name, t, a, |e| {
-        // A cancelled job's remaining attempts fail fast (never running
-        // the body) so the round retires promptly and its claim-pool
-        // slots free up for other jobs.
-        if cancel.load(Ordering::Relaxed) {
-            return Err(EngineError::Cancelled { reason: "job cancelled".to_string() });
-        }
-        // Only an at-home attempt observes the virtual executor's death.
-        // Stolen slots are fault-free by construction (the pin walk pins
-        // every slot a crash dooms), so reading the home's *live* poison
-        // flag from a thief would add an ExecutorLost that depends on
-        // when the steal ran relative to the crash — a timing-dependent
-        // extra retry the serial reference never sees. The driver's
-        // analog: a poisoned executor never steals, and a thief checks
-        // its own health, not the home's.
-        if v % executors == worker && vpoison.load(Ordering::Relaxed) {
-            return Err(EngineError::ExecutorLost { executor: v });
-        }
-        if plan.fires(FaultSite::ExecutorCrash, name, t, a) {
-            vpoison.store(true, Ordering::Relaxed);
-            return Err(EngineError::ExecutorLost { executor: v });
-        }
-        if plan.fires(FaultSite::TaskBody, name, t, a) {
-            return Err(EngineError::Injected { site: FaultSite::TaskBody });
-        }
-        if plan.fires(FaultSite::Alloc, name, t, a) {
-            return Err(EngineError::Injected { site: FaultSite::Alloc });
-        }
-        if plan.fires(FaultSite::TaskHang, name, t, a) {
-            // The watchdog's verdict on a hung attempt: the whole
-            // deadline budget is burned in simulated time, charged at
-            // the session's outcome processing.
-            return Err(EngineError::Deadline {
-                stage: name.to_string(),
-                task: t,
-                attempt: a,
-                budget: round.policy.deadline_budget(),
-            });
-        }
-        let out = run_body(e)?;
-        if round.shuffle_stage && plan.fires(FaultSite::ShuffleFrame, name, t, a) {
-            return Err(EngineError::Injected { site: FaultSite::ShuffleFrame });
-        }
-        Ok(out)
-    });
-    // Spill-path kill points model the executor process dying; on the
-    // server that death is virtual. (Job fault plans are not installed
-    // into the shared caches, so this only fires for errors the body
-    // itself surfaces.)
-    if r.as_ref().err().and_then(|err| err.injected_kill()).is_some() {
-        vpoison.store(true, Ordering::Relaxed);
-    }
-    if round.policy.spill_on_oom
-        && r.as_ref().is_err_and(|err| err.is_memory_pressure())
-        && !vpoison.load(Ordering::Relaxed)
-    {
-        e.spill_for_memory();
-        oom_rerun = true;
-        r = e.run_task_in(format!("{name}-{t}-oom-retry"), name, t, a, |e| {
-            let out = run_body(e)?;
-            if round.shuffle_stage && plan.fires(FaultSite::ShuffleFrame, name, t, a) {
-                return Err(EngineError::Injected { site: FaultSite::ShuffleFrame });
-            }
-            Ok(out)
-        });
-        oom_recovered = r.is_ok();
-    }
-    (r, oom_rerun, oom_recovered)
-}
-
-/// Execute one claimed slot: lock the physical executor, stamp its trace
-/// and cache with the owning job/tenant, run the attempt, and collect the
-/// task metrics and trace events it produced for routing to the job.
-fn execute_slot(inner: &ServerInner, worker: usize, round: &Round, j: usize) -> SlotDone {
-    let executors = inner.executors.len();
-    let (t, a, v) = round.slots[j];
-    let e = &mut *lock(&inner.executors[worker]);
-    e.trace.set_job(round.job);
-    e.cache.set_tenant_ctx(Some(round.tenant));
-    e.cache.set_job_ctx(Some(round.job));
-    let task_mark = e.tasks.len();
-    let trace_mark = e.trace.len();
-    if v % executors != worker && e.trace.enabled() {
-        let now = e.trace.now_ns();
-        let sim = dur_ns(e.sim_now());
-        e.trace.record(
-            TraceEventKind::TaskSteal,
-            Some(round.stage.as_str()),
-            Some(t),
-            Some(a),
-            None,
-            format!("{}-{t}-steal", round.stage),
-            now,
-            0,
-            sim,
-            0,
-            0,
-            v as u64,
-        );
-    }
-    let (result, oom_rerun, oom_recovered) = run_attempt(round, e, worker, executors, t, a, v);
-    let task_metrics = e.tasks[task_mark..].to_vec();
-    let mut events = e.trace.drain_from(trace_mark);
-    for ev in &mut events {
-        ev.executor = ev.executor.or(Some(worker));
-    }
-    e.cache.set_job_ctx(None);
-    e.cache.set_tenant_ctx(None);
-    e.trace.set_job(0);
-    SlotDone {
-        task: t,
-        attempt: a,
-        vhome: v,
-        result,
-        oom_rerun,
-        oom_recovered,
-        task_metrics,
-        events,
-    }
-}
-
-fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
-    let executors = inner.executors.len();
-    loop {
-        let claim = {
-            let mut pool = lock(&inner.pool);
-            loop {
-                if let Some((ri, j)) = find_claim(&pool, worker, executors) {
-                    let round = pool.rounds[ri].clone();
-                    round.claimed[j].store(true, Ordering::Relaxed);
-                    bump_running(&mut pool, round.job, true);
-                    break Some((round, j));
-                }
-                if inner.shutdown.load(Ordering::Relaxed) && pool.active_jobs == 0 {
-                    break None;
-                }
-                pool = inner.work_cv.wait(pool).unwrap_or_else(|p| p.into_inner());
-            }
-        };
-        let Some((round, j)) = claim else { return };
-        let done = execute_slot(&inner, worker, &round, j);
-        {
-            let mut pool = lock(&inner.pool);
-            bump_running(&mut pool, round.job, false);
-        }
-        let mut st = lock(&round.state);
-        st.done[j] = Some(done);
-        st.completed += 1;
-        if st.completed == round.slots.len() {
-            round.done_cv.notify_all();
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// ServerJobSession: the per-job driver loop
-// ----------------------------------------------------------------------
-
-/// One job's driver state on its runner thread: the standalone
-/// [`ClusterSession`] retry engine ported to virtual executors whose
-/// attempts execute on the shared pool. Stage lifecycle, failure
-/// charging, quarantine/restart decisions, retry routing, and metric
-/// roll-up follow the standalone driver line for line — the equivalence
-/// the server soak asserts counter for counter.
-pub struct ServerJobSession {
+/// One job's view of the shared executors: `W` virtual executors, with
+/// virtual `v` running on physical `v % E`. Health, poison and restarts
+/// are the job's own; the physical executors never die.
+struct JobSlots {
     inner: Arc<ServerInner>,
     job: u64,
     tenant: u32,
-    width: usize,
-    policy: RetryPolicy,
-    scheduler: SchedulerMode,
-    faults: FaultPlan,
-    vhealth: Vec<ExecutorHealth>,
-    vpoison: Arc<Vec<AtomicBool>>,
-    /// Shared with the [`JobHandle`] and every published round.
-    cancel: Arc<AtomicBool>,
-    /// Wall-clock deadline measured from `submitted`, checked at stage
-    /// and round boundaries.
-    deadline: Option<Duration>,
-    submitted: Instant,
-    stages: Vec<StageMetrics>,
-    trace: TraceRecorder,
-    /// Executor-side events routed back from workers, job-stamped.
-    exec_events: Vec<TraceEvent>,
-    metrics: JobMetrics,
-    /// Cumulative busy time per virtual executor; the job's `exec` is its
-    /// max (virtual executors run in parallel, as a width-W cluster's
-    /// physical ones would).
-    busy_job: Vec<Duration>,
-    sim_now: Duration,
+    health: Vec<ExecutorHealth>,
+    poison: Vec<AtomicBool>,
+    /// Executor-side events of this job's attempts, routed back job-stamped.
+    events: Mutex<Vec<TraceEvent>>,
 }
 
-impl ServerJobSession {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        inner: Arc<ServerInner>,
-        job: u64,
-        tenant: u32,
-        width: usize,
-        policy: RetryPolicy,
-        scheduler: SchedulerMode,
-        faults: FaultPlan,
-        cancel: Arc<AtomicBool>,
-        deadline: Option<Duration>,
-        submitted: Instant,
-    ) -> ServerJobSession {
-        let tracing = inner.exec_config.tracing;
-        let mut trace = TraceRecorder::new(tracing);
-        trace.set_job(job);
-        ServerJobSession {
-            inner,
-            job,
-            tenant,
-            width,
-            policy,
-            scheduler,
-            faults,
-            vhealth: vec![ExecutorHealth::default(); width],
-            vpoison: Arc::new((0..width).map(|_| AtomicBool::new(false)).collect()),
-            cancel,
-            deadline,
-            submitted,
-            stages: Vec::new(),
-            trace,
-            exec_events: Vec::new(),
-            metrics: JobMetrics::default(),
-            busy_job: vec![Duration::ZERO; width],
-            sim_now: Duration::ZERO,
-        }
+impl Backend for JobSlots {
+    fn width(&self) -> usize {
+        self.health.len()
     }
 
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The deadline-aware cancellation check, run at stage and round
-    /// boundaries. A tripped deadline raises the shared cancel flag so
-    /// in-flight attempts fail fast; the first trip emits the
-    /// `JobCancelled` event and bumps the job's `cancelled` counter.
-    fn check_cancelled(&mut self) -> Result<(), EngineError> {
-        let overdue = self.deadline.is_some_and(|d| self.submitted.elapsed() >= d);
-        if overdue {
-            self.cancel.store(true, Ordering::Relaxed);
-        }
-        if !self.cancel.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let reason = if overdue {
-            format!("deadline {:?} exceeded", self.deadline.unwrap_or_default())
-        } else {
-            "cancelled via JobHandle::cancel".to_string()
-        };
-        self.note_cancelled(&reason);
-        Err(EngineError::Cancelled { reason })
-    }
-
-    /// Record the job's cancellation (once): the `cancelled` counter and
-    /// the `JobCancelled` trace event, whose label carries the reason.
-    fn note_cancelled(&mut self, reason: &str) {
-        if self.metrics.cancelled != 0 {
-            return;
-        }
-        self.metrics.cancelled = 1;
-        let now = self.trace.now_ns();
-        self.trace.record(
-            TraceEventKind::JobCancelled,
-            None,
-            None,
-            None,
-            None,
-            reason.to_string(),
-            now,
-            0,
-            dur_ns(self.sim_now),
-            0,
-            0,
-            0,
-        );
-    }
-
-    pub fn mode(&self) -> crate::config::ExecutionMode {
+    fn mode(&self) -> ExecutionMode {
         self.inner.exec_config.mode
     }
 
-    /// Cached bytes currently stamped with this job across the shared
-    /// executors (all tiers).
-    pub fn job_cache_bytes(&self) -> usize {
+    fn health(&mut self) -> &mut [ExecutorHealth] {
+        &mut self.health
+    }
+
+    fn poisoned(&self, w: usize) -> bool {
+        self.poison[w].load(Ordering::Relaxed)
+    }
+
+    /// Virtual restart-in-place: clear the job's poison flag. The shared
+    /// physical executor never died, so there is no cache wipe to
+    /// rehydrate from — the job's cached blocks are all still live.
+    fn restart(&mut self, w: usize, _stage: &str, _ordinal: u32, _rehydrate: bool) -> (u64, u64) {
+        self.poison[w].store(false, Ordering::Relaxed);
+        (0, 0)
+    }
+
+    /// Claimer `w` runs on the worker thread of physical executor
+    /// `w % E`, so an executor's attempts always run on the same thread.
+    /// This is the one place the server erases a lifetime: the workers
+    /// outlive every job, while `step` borrows the calling stage.
+    #[allow(unsafe_code)]
+    fn run_claimers(&mut self, step: &(dyn Fn(usize, &mut dyn Claimer) -> bool + Sync)) {
+        let slots = &*self;
+        let step = |w: usize| step(w, &mut Shared { slots, w });
+        let step: &(dyn Fn(usize) -> bool + Sync) = &step;
+        // SAFETY: each turn sent below either reports on `report` after
+        // its last step, or is dropped with its `report` sender. This
+        // frame returns only after `width` reports or once every sender is
+        // gone, so no worker can still call `step`, or reach what it
+        // borrows, after the borrow ends.
+        let step: &'static (dyn Fn(usize) -> bool + Sync) = unsafe { std::mem::transmute(step) };
+        let width = self.health.len();
+        let (report, reports) = channel();
+        {
+            let work = lock(&self.inner.work);
+            for w in 0..width {
+                let queue = work[w % work.len()].clone();
+                let turn = Turn { step, w, queue: queue.clone(), report: report.clone() };
+                queue.send(turn).expect("workers outlive the runners");
+            }
+        }
+        drop(report);
+        let mut panic = None;
+        for outcome in reports.iter().take(width) {
+            panic = panic.or(outcome);
+        }
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
+    }
+
+    fn recycle(&mut self, i: usize, payload: ShufflePayload) {
+        lock(&self.inner.executors[i % self.inner.executors.len()]).recycle_payload(payload);
+    }
+
+    fn cache_bytes(&mut self) -> usize {
         self.inner.executors.iter().map(|m| lock(m).cache.job_bytes(self.job)).sum()
     }
+}
 
-    pub fn run_stage<R: Send + 'static>(
-        &mut self,
-        name: &str,
-        tasks: usize,
-        f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
-    ) -> Result<Vec<R>, EngineError> {
-        self.run_stage_typed(name, tasks, f, false)
+/// A server claimer: virtual executor `w` on the worker of physical
+/// executor `w % E`, locking it for one attempt at a time.
+struct Shared<'a> {
+    slots: &'a JobSlots,
+    w: usize,
+}
+
+impl Claimer for Shared<'_> {
+    fn poisoned(&self) -> bool {
+        self.slots.poison[self.w].load(Ordering::Relaxed)
     }
 
-    fn run_stage_typed<R: Send + 'static>(
-        &mut self,
-        name: &str,
-        tasks: usize,
-        f: impl Fn(&TaskContext, &mut Executor) -> Result<R, EngineError> + Sync,
-        shuffle_stage: bool,
-    ) -> Result<Vec<R>, EngineError> {
-        let erased = |ctx: &TaskContext, e: &mut Executor| -> Result<ErasedResult, EngineError> {
-            f(ctx, e).map(|r| Box::new(r) as ErasedResult)
-        };
-        let out = self.run_stage_erased(name, tasks, &erased, shuffle_stage)?;
-        Ok(out
-            .into_iter()
-            .map(|b| *b.downcast::<R>().expect("stage results are the stage's result type"))
-            .collect())
+    /// Lock the physical executor, stamp its trace and cache with the job
+    /// and tenant, run the attempt (panics caught), and route the trace
+    /// events it recorded to the job.
+    fn run(&mut self, attempt: &mut dyn FnMut(Slot<'_>)) {
+        let s = self.slots;
+        let mut e = lock(&s.inner.executors[self.w % s.inner.executors.len()]);
+        e.trace.set_job(s.job);
+        e.cache.set_tenant_ctx(Some(s.tenant));
+        e.cache.set_job_ctx(Some(s.job));
+        let mark = e.trace.len();
+        let poison = Poison(Some(&s.poison[self.w]));
+        attempt(Slot { e: &mut e, poison, catch_panics: true });
+        let mut events = e.trace.drain_from(mark);
+        e.cache.set_job_ctx(None);
+        e.cache.set_tenant_ctx(None);
+        e.trace.set_job(0);
+        drop(e);
+        if !events.is_empty() {
+            for ev in &mut events {
+                ev.executor = ev.executor.or(Some(self.w));
+            }
+            lock(&s.events).extend(events);
+        }
     }
+}
 
-    pub fn run_shuffle_job<R: Send + 'static>(
-        &mut self,
-        name: &str,
-        map_tasks: usize,
-        reduce_tasks: usize,
-        map: impl Fn(&TaskContext, &mut Executor) -> Result<MapOutputs, EngineError> + Sync,
-        reduce: impl Fn(&TaskContext, &mut Executor, &[ShufflePayload]) -> Result<R, EngineError> + Sync,
-    ) -> Result<Vec<R>, EngineError> {
-        let map_stage = format!("{name}-map");
-        let outputs: Vec<MapOutputs> = self.run_stage_typed(
-            &map_stage,
-            map_tasks,
-            |ctx: &TaskContext, e: &mut Executor| {
-                let out = map(ctx, e)?;
-                if out.len() != reduce_tasks {
-                    return Err(EngineError::Shuffle(format!(
-                        "map task {} produced {} reducer outputs, expected {}",
-                        ctx.task,
-                        out.len(),
-                        reduce_tasks
-                    ))
-                    .in_task(ctx.stage, ctx.task));
-                }
-                Ok(out)
-            },
-            true,
-        )?;
-        let bytes: u64 = outputs.iter().flatten().map(|p| p.len() as u64).sum();
-        let pages: u64 = outputs.iter().flatten().map(|p| p.page_count() as u64).sum();
-        if let Some(s) = self.stages.last_mut() {
-            s.shuffle_bytes = bytes;
-            s.shuffle_pages = pages;
-        }
-        // Payloads move through the exchange; pages change owner, no copy.
-        let inputs = exchange(outputs);
-        let result = {
-            let inputs = &inputs;
-            self.run_stage(&format!("{name}-reduce"), reduce_tasks, |ctx, e| {
-                reduce(ctx, e, &inputs[ctx.task])
-            })
-        };
-        // Return consumed payload storage to the physical executors' pools.
-        if result.is_ok() {
-            let n = self.inner.executors.len();
-            for (i, p) in inputs.into_iter().flatten().enumerate() {
-                lock(&self.inner.executors[i % n]).recycle_payload(p);
-            }
-        }
-        result
+/// Seal a job: roll its stages into the job metrics, stamp the job id,
+/// and build the per-job deterministic trace (driver events first, then
+/// routed executor events — the same order `RunTrace::merge` uses).
+fn finish(engine: StageEngine, slots: JobSlots, checksum: f64, cache_bytes: usize) -> JobOutput {
+    let StageEngine { job: mut metrics, stages, mut trace, busy, .. } = engine;
+    metrics.job = slots.job;
+    // Virtual executors run in parallel, as a width-W cluster's would.
+    metrics.exec = busy.into_iter().max().unwrap_or(Duration::ZERO);
+    for s in &stages {
+        metrics.add_stage_recovery(s);
     }
-
-    /// The retry engine: the standalone driver's `run_stage_inner` with
-    /// task waves replaced by pool rounds and physical health replaced by
-    /// the job's virtual health/poison state.
-    fn run_stage_erased(
-        &mut self,
-        name: &str,
-        tasks: usize,
-        body: TaskFn<'_>,
-        shuffle_stage: bool,
-    ) -> Result<Vec<ErasedResult>, EngineError> {
-        // A job already cancelled (or past its deadline) never starts
-        // another stage.
-        self.check_cancelled()?;
-        // SAFETY: `body` outlives every use — each round is fully executed
-        // (every slot's SlotDone deposited) and retired from the pool
-        // before this frame continues, and no code between publishing a
-        // round and retiring it can panic out of the frame.
-        let body: TaskFn<'static> =
-            unsafe { std::mem::transmute::<TaskFn<'_>, TaskFn<'static>>(body) };
-        assert!(tasks > 0, "a stage needs at least one task");
-        let width = self.width;
-        let policy = self.policy;
-        let plan = self.faults.clone();
-        for h in &mut self.vhealth {
-            h.stage_failures = 0;
-        }
-
-        let stage_wall_start = self.trace.now_ns();
-        let stage_sim_start = dur_ns(self.sim_now);
-        self.trace.record(
-            TraceEventKind::StageStart,
-            Some(name),
-            None,
-            None,
-            None,
-            name,
-            stage_wall_start,
-            0,
-            stage_sim_start,
-            0,
-            0,
-            tasks as u64,
-        );
-
-        if healthy_count_in(&self.vhealth) == 0 {
-            let quarantined = width - healthy_count_in(&self.vhealth);
-            let err = EngineError::AllExecutorsLost { executors: width, quarantined };
-            let mut stage = StageMetrics::new(name);
-            stage.aborted = true;
-            let now = self.trace.now_ns();
-            self.trace.record(
-                TraceEventKind::StageEnd,
-                Some(name),
-                None,
-                None,
-                None,
-                name,
-                now,
-                now.saturating_sub(stage_wall_start),
-                stage_sim_start,
-                0,
-                0,
-                0,
-            );
-            self.stages.push(stage);
-            return Err(err.in_task(name, 0));
-        }
-
-        let mut stage = StageMetrics::new(name);
-        stage.tasks = tasks;
-        let mut results: Vec<Option<ErasedResult>> = (0..tasks).map(|_| None).collect();
-
-        let mut pending: Vec<(usize, u32, usize)> = Vec::with_capacity(tasks);
-        for t in 0..tasks {
-            let v = healthy_from_in(&self.vhealth, t % width).expect("a healthy executor exists");
-            pending.push((t, 0, v));
-        }
-
-        let scheduler = self.scheduler;
-        let mut busy_stage: Vec<Duration> = vec![Duration::ZERO; width];
-
-        let outcome: Result<(), EngineError> = 'stage: loop {
-            if pending.is_empty() {
-                break Ok(());
-            }
-            // Round-boundary watchdog: a cancelled or overdue job stops
-            // scheduling new rounds; the stage still records its metrics
-            // and StageEnd below.
-            if let Err(err) = self.check_cancelled() {
-                break 'stage Err(err);
-            }
-            let mut slots: Vec<(usize, u32, usize)> = pending.drain(..).collect();
-            slots.sort_unstable_by_key(|&(t, ..)| t);
-            let doomed: Vec<bool> =
-                self.vpoison.iter().map(|p| p.load(Ordering::Relaxed)).collect();
-            // Wave jobs pin everything (static home queues, no stealing);
-            // pull jobs pin exactly the fault-affected slots, as the
-            // standalone pull scheduler does.
-            let (pinned, steal) = match scheduler {
-                SchedulerMode::Wave => (vec![true; slots.len()], false),
-                SchedulerMode::Pull => {
-                    (pin_faulted_slots_in(&doomed, &slots, name, shuffle_stage, &plan), true)
-                }
-            };
-            let n = slots.len();
-            let round = Arc::new(Round {
-                job: self.job,
-                tenant: self.tenant,
-                stage: name.to_string(),
-                tasks,
-                slots,
-                pinned,
-                claimed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-                steal,
-                shuffle_stage,
-                plan: plan.clone(),
-                policy,
-                vpoison: self.vpoison.clone(),
-                cancel: self.cancel.clone(),
-                body,
-                state: Mutex::new(RoundState {
-                    done: (0..n).map(|_| None).collect(),
-                    completed: 0,
-                }),
-                done_cv: Condvar::new(),
-            });
-            {
-                let mut pool = lock(&self.inner.pool);
-                pool.rounds.push(round.clone());
-                self.inner.work_cv.notify_all();
-            }
-            let mut done: Vec<SlotDone> = {
-                let mut st = lock(&round.state);
-                while st.completed < n {
-                    st = round.done_cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-                st.done.iter_mut().map(|d| d.take().expect("completed slot")).collect()
-            };
-            {
-                let mut pool = lock(&self.inner.pool);
-                pool.rounds.retain(|r| !Arc::ptr_eq(r, &round));
-            }
-
-            // Outcome processing, single-threaded in task order — health
-            // and retry decisions never depend on worker interleaving.
-            done.sort_by_key(|d| d.task);
-            let mut round_busy: Vec<Duration> = vec![Duration::ZERO; width];
-            let mut failures: Vec<(usize, u32, usize, EngineError)> = Vec::new();
-            for d in done {
-                let SlotDone {
-                    task: t,
-                    attempt: a,
-                    vhome: x,
-                    result,
-                    oom_rerun,
-                    oom_recovered,
-                    task_metrics,
-                    events,
-                } = d;
-                for tm in &task_metrics {
-                    stage.add_task(tm);
-                    self.metrics.add_task(tm);
-                    round_busy[x] += tm.total();
-                }
-                self.exec_events.extend(events);
-                stage.attempts += 1 + oom_rerun as u64;
-                stage.oom_reruns += oom_rerun as u64;
-                if oom_recovered {
-                    stage.oom_recoveries += 1;
-                    let now = self.trace.now_ns();
-                    self.trace.record(
-                        TraceEventKind::OomRecovery,
-                        Some(name),
-                        Some(t),
-                        Some(a),
-                        Some(x),
-                        format!("{name}-{t}-oom"),
-                        now,
-                        0,
-                        dur_ns(self.sim_now),
-                        0,
-                        0,
-                        0,
-                    );
-                }
-                match result {
-                    Ok(v) => results[t] = Some(v),
-                    Err(err) => {
-                        // The watchdog's verdict on a hung attempt: the
-                        // whole deadline budget was burned, charged in
-                        // simulated time (never slept).
-                        if let EngineError::Deadline { budget, .. } = &err {
-                            stage.timeouts += 1;
-                            stage.recovery += *budget;
-                            let now = self.trace.now_ns();
-                            self.trace.record(
-                                TraceEventKind::TaskTimeout,
-                                Some(name),
-                                Some(t),
-                                Some(a),
-                                Some(x),
-                                format!("{name}-{t}-timeout"),
-                                now,
-                                0,
-                                dur_ns(self.sim_now),
-                                dur_ns(*budget),
-                                0,
-                                0,
-                            );
-                        }
-                        failures.push((t, a, x, err));
-                    }
-                }
-            }
-            for v in 0..width {
-                busy_stage[v] += round_busy[v];
-                self.busy_job[v] += round_busy[v];
-            }
-            if scheduler == SchedulerMode::Wave {
-                stage.exec += round_busy.into_iter().max().unwrap_or(Duration::ZERO);
-            }
-
-            for &(_, _, x, _) in &failures {
-                self.vhealth[x].stage_failures += 1;
-            }
-            for x in 0..width {
-                let dead = self.vpoison[x].load(Ordering::Relaxed);
-                let over = self.vhealth[x].stage_failures >= policy.quarantine_after;
-                if (!dead && !over) || self.vhealth[x].quarantined {
-                    continue;
-                }
-                if healthy_count_in(&self.vhealth) == 1 && policy.spare_last_executor {
-                    // Virtual restart-in-place: clear the job's poison
-                    // flag. The shared physical executor never died, so
-                    // there is no cache wipe to rehydrate from — the
-                    // job's cached blocks are all still live, and the
-                    // rehydration counters stay zero by construction.
-                    self.vpoison[x].store(false, Ordering::Relaxed);
-                    self.vhealth[x].stage_failures = 0;
-                    self.vhealth[x].restarts += 1;
-                    stage.restarts += 1;
-                    stage.recovery += policy.backoff;
-                    let now = self.trace.now_ns();
-                    self.trace.record(
-                        TraceEventKind::Restart,
-                        Some(name),
-                        None,
-                        None,
-                        Some(x),
-                        format!("restart-executor-{x}"),
-                        now,
-                        0,
-                        dur_ns(self.sim_now),
-                        dur_ns(policy.backoff),
-                        0,
-                        0,
-                    );
-                } else {
-                    self.vhealth[x].quarantined = true;
-                    stage.quarantines += 1;
-                    let now = self.trace.now_ns();
-                    self.trace.record(
-                        TraceEventKind::Quarantine,
-                        Some(name),
-                        None,
-                        None,
-                        Some(x),
-                        format!("quarantine-executor-{x}"),
-                        now,
-                        0,
-                        dur_ns(self.sim_now),
-                        0,
-                        0,
-                        0,
-                    );
-                }
-            }
-
-            for (t, a, x, err) in failures {
-                if !err.is_transient() || a + 1 >= policy.max_attempts {
-                    break 'stage Err(err.in_task(name, t));
-                }
-                let Some(y) = healthy_after_in(&self.vhealth, x) else {
-                    break 'stage Err(err.in_task(name, t));
-                };
-                stage.retries += 1;
-                stage.recovery += policy.backoff;
-                let now = self.trace.now_ns();
-                self.trace.record(
-                    TraceEventKind::Retry,
-                    Some(name),
-                    Some(t),
-                    Some(a),
-                    Some(x),
-                    format!("{name}-{t}-retry"),
-                    now,
-                    0,
-                    dur_ns(self.sim_now),
-                    dur_ns(policy.backoff),
-                    0,
-                    y as u64,
-                );
-                pending.push((t, a + 1, y));
-            }
-        };
-
-        if scheduler == SchedulerMode::Pull {
-            stage.exec = busy_stage.into_iter().max().unwrap_or(Duration::ZERO);
-        }
-        self.sim_now += stage.exec + stage.recovery;
-        let now = self.trace.now_ns();
-        self.trace.record(
-            TraceEventKind::StageEnd,
-            Some(name),
-            None,
-            None,
-            None,
-            name,
-            now,
-            now.saturating_sub(stage_wall_start),
-            stage_sim_start,
-            dur_ns(stage.exec + stage.recovery),
-            stage.shuffle_bytes,
-            stage.attempts,
-        );
-        self.stages.push(stage);
-        outcome?;
-        Ok(results.into_iter().map(|r| r.expect("completed stage fills every slot")).collect())
-    }
-
-    /// Seal the job: roll stages into the job metrics, stamp the job id,
-    /// and build the per-job deterministic trace (driver events first,
-    /// then routed executor events — the same order `RunTrace::merge`
-    /// uses).
-    fn finish(mut self, checksum: f64, cache_bytes: usize) -> JobOutput {
-        self.metrics.job = self.job;
-        self.metrics.exec = self.busy_job.iter().copied().max().unwrap_or(Duration::ZERO);
-        for s in &self.stages {
-            self.metrics.add_stage_recovery(s);
-        }
-        self.metrics.cache_bytes = cache_bytes;
-        let mut events = self.trace.drain_from(0);
-        events.append(&mut self.exec_events);
-        JobOutput {
-            job: self.job,
-            checksum,
-            cache_bytes,
-            metrics: self.metrics,
-            stages: self.stages,
-            trace: RunTrace::from_events(events),
-        }
+    metrics.cache_bytes = cache_bytes;
+    let mut events = trace.drain_from(0);
+    events.append(&mut slots.events.into_inner().unwrap_or_else(|p| p.into_inner()));
+    JobOutput {
+        job: slots.job,
+        checksum,
+        cache_bytes,
+        metrics,
+        stages,
+        trace: RunTrace::from_events(events),
     }
 }
 
@@ -1347,28 +602,30 @@ impl ServerJobSession {
 fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
     let QueuedJob { id, tenant_id, spec, state, submitted } = q;
     let width = if spec.executors == 0 { inner.executors.len() } else { spec.executors };
-    let policy = spec.retry.unwrap_or(inner.exec_config.retry);
+    // The one place a served job's policy is adjusted: no speculation
+    // (see `JobSpec::retry`).
+    let policy = spec.retry.unwrap_or(inner.exec_config.retry).speculate(false);
     let scheduler = spec.scheduler.unwrap_or(inner.exec_config.scheduler);
     let app = spec.app.expect("submit validates the app");
-    let mut session = ServerJobSession::new(
-        inner.clone(),
-        id,
-        tenant_id,
-        width,
-        policy,
-        scheduler,
-        spec.faults,
-        state.cancelled.clone(),
-        spec.deadline,
-        submitted,
-    );
+    let mut engine = StageEngine::new(policy, scheduler, spec.faults, inner.exec_config.tracing);
+    engine.trace.set_job(id);
+    engine.cancel = state.cancelled.clone();
+    engine.deadline = spec.deadline.map(|d| (submitted, d));
+    let mut slots = JobSlots {
+        inner: inner.clone(),
+        job: id,
+        tenant: tenant_id,
+        health: vec![ExecutorHealth::default(); width],
+        poison: (0..width).map(|_| AtomicBool::new(false)).collect(),
+        events: Mutex::new(Vec::new()),
+    };
     // A job cancelled (or overdue) while still queued never runs its
     // body; it still flows through the full cleanup path below so its
     // admission slot and any stamped state are released.
-    let (result, noted) = match session.check_cancelled() {
+    let (result, noted) = match engine.check_cancelled() {
         Err(err) => (Err(err), 0),
         Ok(()) => {
-            let mut ctx = JobCtx::server(&mut session);
+            let mut ctx = JobCtx { engine: &mut engine, backend: &mut slots, noted_cache_bytes: 0 };
             let r = match catch_unwind(AssertUnwindSafe(|| app.run(&mut ctx))) {
                 Ok(r) => r,
                 Err(p) => Err(EngineError::TaskPanic {
@@ -1381,16 +638,16 @@ fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
         }
     };
     let output = match result {
-        Ok(checksum) => Ok(session.finish(checksum, noted)),
+        Ok(checksum) => Ok(finish(engine, slots, checksum, noted)),
         Err(err) => {
             // A cancel observed mid-stage (the tasks failed fast before
             // any boundary check ran) still gets its event and counter.
-            if session.cancel.load(Ordering::Relaxed) {
-                session.note_cancelled("job cancelled");
+            if engine.cancel.load(Ordering::Relaxed) {
+                engine.note_cancelled("job cancelled");
             }
             // Keep the failed job's partial roll-up reachable (the
             // JobCancelled event and `cancelled` counter live there).
-            *lock(&state.partial) = Some(session.finish(f64::NAN, noted));
+            *lock(&state.partial) = Some(finish(engine, slots, f64::NAN, noted));
             Err(Arc::new(err))
         }
     };
@@ -1409,31 +666,23 @@ fn run_job(inner: &Arc<ServerInner>, q: QueuedJob) {
             t.in_flight = t.in_flight.saturating_sub(1);
         }
     }
-    {
-        let mut slot = lock(&state.result);
-        *slot = Some(output);
-        state.cv.notify_all();
-    }
-    {
-        let mut pool = lock(&inner.pool);
-        pool.active_jobs -= 1;
-        // Wake idle workers so they can observe shutdown + drained pool.
-        inner.work_cv.notify_all();
-    }
+    let mut slot = lock(&state.result);
+    *slot = Some(output);
+    state.cv.notify_all();
 }
 
 fn runner_loop(inner: Arc<ServerInner>) {
     loop {
         let next = {
-            let mut pool = lock(&inner.pool);
+            let mut queue = lock(&inner.queue);
             loop {
-                if let Some(q) = pool.queue.pop_front() {
+                if let Some(q) = queue.pop_front() {
                     break Some(q);
                 }
                 if inner.shutdown.load(Ordering::Relaxed) {
                     break None;
                 }
-                pool = inner.job_cv.wait(pool).unwrap_or_else(|p| p.into_inner());
+                queue = inner.job_cv.wait(queue).unwrap_or_else(|p| p.into_inner());
             }
         };
         let Some(q) = next else { return };
@@ -1478,31 +727,27 @@ impl DecaServer {
         let cluster = LocalCluster::uniform(config.executors, config.executor.clone());
         let executors: Vec<Mutex<Executor>> =
             cluster.executors.into_iter().map(Mutex::new).collect();
+        let (senders, workers): (Vec<Sender<Turn>>, Vec<JoinHandle<()>>) = (0..config.executors)
+            .map(|i| {
+                let (send, queue) = channel::<Turn>();
+                let worker = std::thread::Builder::new()
+                    .name(format!("deca-worker-{i}"))
+                    .spawn(move || queue.into_iter().for_each(Turn::take))
+                    .expect("spawn worker");
+                (send, worker)
+            })
+            .unzip();
         let inner = Arc::new(ServerInner {
             executors,
+            work: Mutex::new(senders),
             exec_config: config.executor,
-            pool: Mutex::new(PoolState {
-                rounds: Vec::new(),
-                queue: VecDeque::new(),
-                active_jobs: 0,
-                running: Vec::new(),
-            }),
-            work_cv: Condvar::new(),
+            queue: Mutex::new(VecDeque::new()),
             job_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_job: AtomicU64::new(0),
             tenants: Mutex::new(Vec::new()),
             default_max_in_flight: config.default_max_in_flight,
         });
-        let workers = (0..config.executors)
-            .map(|i| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("deca-worker-{i}"))
-                    .spawn(move || worker_loop(inner, i))
-                    .expect("spawn worker")
-            })
-            .collect();
         let runner_count = if config.runners == 0 { config.executors } else { config.runners };
         let runners = (0..runner_count)
             .map(|i| {
@@ -1532,20 +777,7 @@ impl DecaServer {
         }
         let tenant_id = {
             let mut tenants = lock(&self.inner.tenants);
-            let idx = match tenants.iter().position(|t| t.name == spec.tenant) {
-                Some(i) => i,
-                None => {
-                    let id = tenants.len() as u32 + 1;
-                    tenants.push(TenantState {
-                        name: spec.tenant.clone(),
-                        id,
-                        max_in_flight: self.inner.default_max_in_flight,
-                        in_flight: 0,
-                    });
-                    tenants.len() - 1
-                }
-            };
-            let t = &mut tenants[idx];
+            let t = tenant_entry(&mut tenants, &spec.tenant, self.inner.default_max_in_flight);
             if t.in_flight >= t.max_in_flight {
                 return Err(EngineError::AdmissionRejected {
                     tenant: t.name.clone(),
@@ -1570,18 +802,15 @@ impl DecaServer {
         if self.inner.exec_config.tracing {
             lock(&self.jobs).push(state.clone());
         }
-        {
-            let mut pool = lock(&self.inner.pool);
-            pool.queue.push_back(QueuedJob {
-                id,
-                tenant_id,
-                spec,
-                state: state.clone(),
-                submitted: Instant::now(),
-            });
-            pool.active_jobs += 1;
-            self.inner.job_cv.notify_one();
-        }
+        let submitted = Instant::now();
+        lock(&self.inner.queue).push_back(QueuedJob {
+            id,
+            tenant_id,
+            spec,
+            state: state.clone(),
+            submitted,
+        });
+        self.inner.job_cv.notify_one();
         Ok(JobHandle { state })
     }
 
@@ -1589,43 +818,23 @@ impl DecaServer {
     /// it was never seen).
     pub fn configure_tenant(&self, tenant: &str, max_in_flight: usize) {
         let mut tenants = lock(&self.inner.tenants);
-        match tenants.iter_mut().find(|t| t.name == tenant) {
-            Some(t) => t.max_in_flight = max_in_flight.max(1),
-            None => {
-                let id = tenants.len() as u32 + 1;
-                tenants.push(TenantState {
-                    name: tenant.to_string(),
-                    id,
-                    max_in_flight: max_in_flight.max(1),
-                    in_flight: 0,
-                });
-            }
-        }
+        tenant_entry(&mut tenants, tenant, self.inner.default_max_in_flight).max_in_flight =
+            max_in_flight.max(1);
     }
 
-    fn tenant_id(&self, tenant: &str, create: bool) -> Option<u32> {
-        let mut tenants = lock(&self.inner.tenants);
-        if let Some(t) = tenants.iter().find(|t| t.name == tenant) {
-            return Some(t.id);
-        }
-        if !create {
-            return None;
-        }
-        let id = tenants.len() as u32 + 1;
-        tenants.push(TenantState {
-            name: tenant.to_string(),
-            id,
-            max_in_flight: self.inner.default_max_in_flight,
-            in_flight: 0,
-        });
-        Some(id)
+    /// The id of a tenant already seen.
+    fn tenant_id(&self, tenant: &str) -> Option<u32> {
+        lock(&self.inner.tenants).iter().find(|t| t.name == tenant).map(|t| t.id)
     }
 
     /// Give `tenant` a shared-cache resident budget on every executor:
     /// while at or under it, other tenants' memory pressure cannot evict
     /// its blocks (see the cache's tenant shielding).
     pub fn set_tenant_cache_budget(&self, tenant: &str, bytes: usize) {
-        let id = self.tenant_id(tenant, true).expect("tenant created");
+        let id = {
+            let mut tenants = lock(&self.inner.tenants);
+            tenant_entry(&mut tenants, tenant, self.inner.default_max_in_flight).id
+        };
         for m in self.inner.executors.iter() {
             lock(m).cache.set_tenant_budget(id, bytes);
         }
@@ -1634,7 +843,7 @@ impl DecaServer {
     /// Resident in-memory cached bytes owned by `tenant` across the
     /// shared executors.
     pub fn tenant_resident_bytes(&self, tenant: &str) -> usize {
-        let Some(id) = self.tenant_id(tenant, false) else { return 0 };
+        let Some(id) = self.tenant_id(tenant) else { return 0 };
         self.inner
             .executors
             .iter()
@@ -1648,7 +857,7 @@ impl DecaServer {
     /// Cold-tier evictions charged to `tenant` across the shared
     /// executors.
     pub fn tenant_evictions(&self, tenant: &str) -> u64 {
-        let Some(id) = self.tenant_id(tenant, false) else { return 0 };
+        let Some(id) = self.tenant_id(tenant) else { return 0 };
         self.inner.executors.iter().map(|m| lock(m).cache.tenant_evictions(id)).sum()
     }
 
@@ -1672,17 +881,15 @@ impl DecaServer {
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         {
-            let _pool = lock(&self.inner.pool);
+            let _queue = lock(&self.inner.queue);
             self.inner.job_cv.notify_all();
-            self.inner.work_cv.notify_all();
         }
         for h in self.runners.drain(..) {
             let _ = h.join();
         }
-        {
-            let _pool = lock(&self.inner.pool);
-            self.inner.work_cv.notify_all();
-        }
+        // No runner is left to hand out work: closing the queues stops the
+        // workers.
+        lock(&self.inner.work).clear();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -1699,6 +906,7 @@ impl Drop for DecaServer {
 mod tests {
     use super::*;
     use crate::config::ExecutionMode;
+    use crate::trace::TraceEventKind;
 
     fn cfg() -> ExecutorConfig {
         ExecutorConfig::new(ExecutionMode::Spark, 8 << 20)
@@ -1921,5 +1129,31 @@ mod tests {
         }
         assert!(lock(&server.jobs).is_empty());
         assert!(server.merged_trace().is_empty());
+    }
+
+    #[test]
+    fn served_jobs_never_speculate() {
+        // A straggling task under a policy that asks for speculation: on
+        // the server the request is dropped, so no duplicate is launched
+        // and none is traced.
+        let server = DecaServer::new(2, cfg());
+        let job = AppJob::new("slow", |ctx| {
+            let parts = ctx.run_stage("slow", 8, |c, _e| {
+                if c.task == 0 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                Ok(c.task as f64)
+            })?;
+            Ok(parts.into_iter().sum())
+        });
+        let spec = JobSpec::new("t")
+            .scheduler(SchedulerMode::Pull)
+            .retry(RetryPolicy::resilient().speculate(true))
+            .app(job);
+        let out = server.submit(spec).unwrap().wait().unwrap();
+        assert_eq!(out.checksum, 28.0);
+        assert_eq!(out.stages[0].speculative_launched, 0);
+        assert_eq!(out.metrics.speculative_launched, 0);
+        assert_eq!(out.trace.of_kind(TraceEventKind::TaskSpeculative).count(), 0);
     }
 }

@@ -52,6 +52,8 @@
 //! assert_eq!(heap.read_f64(p, 0) + heap.read_f64(p, 1), 4.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod census;
 mod class;
 mod concurrent;

@@ -49,6 +49,8 @@
 //! assert_eq!(ga.classify(lp), Classification::Sized(SizeType::StaticFixed));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fixtures;
 pub mod fusion;
 pub mod global;

@@ -26,7 +26,7 @@ fn main() {
 
     // Submission never blocks on other jobs: each handle resolves when
     // its job finishes. Widths are per-job virtual executor counts, so a
-    // width-2 job and two width-4 jobs share the same 4 workers fairly.
+    // width-2 job and two width-4 jobs take turns on the same 4 executors.
     let jobs = [
         server.submit(JobSpec::new("etl").executors(4).app(wordcount::job(&wc))),
         server.submit(JobSpec::new("etl").executors(4).app(pagerank::job(&pr))),

@@ -5,6 +5,7 @@
 //! below is the README's "Watchdog and cancellation" snippet — keep the
 //! two in sync.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use deca_engine::{
@@ -38,11 +39,14 @@ fn main() {
         .retry(policy)
         .scheduler(SchedulerMode::Pull);
     let mut session = ClusterSession::new(2, config);
+    let first_copy = AtomicBool::new(true);
     let parts = session
         .run_stage("straggle", 8, |t, _e| {
-            if t.task == 0 && t.executor == 0 {
+            if t.task == 0 && first_copy.swap(false, Ordering::Relaxed) {
                 // A straggling attempt: sleeps in slices, polling the
-                // token the duplicate's win raises.
+                // token the duplicate's win raises. Only task 0's first
+                // copy straggles, on whichever executor claimed it, so
+                // the other executor always ends up idle beside it.
                 for _ in 0..200 {
                     if t.is_cancelled() {
                         return Err(EngineError::Cancelled { reason: "duplicate won".to_string() });
@@ -66,7 +70,7 @@ fn main() {
     //    cancelled before (or at the first boundary after) it runs, and
     //    `JobHandle::cancel` stops a running job cooperatively. Either
     //    way the partial roll-up stays reachable and every slot the job
-    //    held — admission, claim-pool, cache — is released.
+    //    held — admission, cache — is released.
     let server = DecaServer::new(2, ExecutorConfig::new(ExecutionMode::Deca, 16 << 20));
     let overdue = server
         .submit(

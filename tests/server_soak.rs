@@ -16,11 +16,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use deca_apps::pagerank::{self, PrParams};
-use deca_apps::run_job_faulty;
 use deca_apps::wordcount::{self, WcParams};
 use deca_engine::{
-    AppJob, DecaServer, EngineError, ExecutionMode, ExecutorConfig, FaultPlan, FaultSpec,
-    JobMetrics, JobSpec, RetryPolicy, SchedulerMode, ServerConfig, Tier,
+    AppJob, ClusterSession, DecaServer, EngineError, ExecutionMode, ExecutorConfig, FaultPlan,
+    FaultSpec, JobCtx, JobMetrics, JobSpec, RetryPolicy, SchedulerMode, ServerConfig, StageMetrics,
+    Tier,
 };
 
 /// Executors backing the shared server in the soak.
@@ -121,6 +121,45 @@ fn rollup(m: &JobMetrics) -> (u64, u64, u64, u64, u64, u64) {
     (m.attempts, m.retries, m.quarantines, m.restarts, m.oom_reruns, m.oom_recoveries)
 }
 
+/// The deterministic counters of one stage, compared stage by stage
+/// between the serial reference and every served run.
+#[allow(clippy::type_complexity)]
+fn stage_counters(
+    s: &StageMetrics,
+) -> (&str, usize, (u64, u64, u64, u64, u64, u64, u64), (u64, u64), (u64, u64)) {
+    (
+        &s.name,
+        s.tasks,
+        (
+            s.attempts,
+            s.retries,
+            s.quarantines,
+            s.restarts,
+            s.timeouts,
+            s.oom_reruns,
+            s.oom_recoveries,
+        ),
+        (s.shuffle_bytes, s.shuffle_pages),
+        (s.speculative_launched, s.speculative_wins),
+    )
+}
+
+/// A serial reference: the job alone on a private `ClusterSession` of
+/// `width` executors with the plan installed (what `run_job_faulty`
+/// does), keeping the per-stage metrics.
+fn serial_reference(
+    app: &AppJob,
+    config: ExecutorConfig,
+    width: usize,
+    plan: FaultPlan,
+) -> Result<(f64, JobMetrics, Vec<StageMetrics>), EngineError> {
+    let mut session = ClusterSession::new(width, config);
+    session.install_faults(plan);
+    let checksum = app.run(&mut JobCtx::local(&mut session))?;
+    session.finish_job();
+    Ok((checksum, session.job_summary(), session.stages().to_vec()))
+}
+
 #[test]
 fn concurrent_soak_is_bit_identical_to_serial_sessions() {
     let jobs_per_cell = soak_jobs_per_cell();
@@ -137,18 +176,17 @@ fn soak_cell(sched: SchedulerMode, seed: u64, jobs: usize) {
 
     // Serial references: each job kind once, alone, on a private
     // ClusterSession at the same width, same config, same plan.
-    let refs: Vec<(f64, (u64, u64, u64, u64, u64, u64))> = kinds
+    let refs: Vec<(f64, (u64, u64, u64, u64, u64, u64), Vec<StageMetrics>)> = kinds
         .iter()
         .map(|(_, app)| {
-            let report = run_job_faulty(
+            let (checksum, metrics, stages) = serial_reference(
                 app,
-                base_config().scheduler(sched),
+                base_config().scheduler(sched).retry(RetryPolicy::resilient()),
                 JOB_WIDTH,
                 plan.clone(),
-                Some(RetryPolicy::resilient()),
             )
             .unwrap_or_else(|e| panic!("seed {seed}, {sched}: serial reference died: {e}"));
-            (report.checksum, rollup(&report.metrics))
+            (checksum, rollup(&metrics), stages)
         })
         .collect();
 
@@ -176,7 +214,8 @@ fn soak_cell(sched: SchedulerMode, seed: u64, jobs: usize) {
                     .unwrap_or_else(|e| {
                         panic!("seed {seed}, {sched}, job {i} ({}): died: {e}", kinds[k].0)
                     });
-                let (ref_sum, ref_roll) = refs[k];
+                let (ref_sum, ref_roll, ref_stages) = &refs[k];
+                let (ref_sum, ref_roll) = (*ref_sum, *ref_roll);
                 assert_eq!(
                     out.checksum, ref_sum,
                     "seed {seed}, {sched}, job {i} ({}): checksum drifted off the serial run",
@@ -189,6 +228,21 @@ fn soak_cell(sched: SchedulerMode, seed: u64, jobs: usize) {
                     kinds[k].0
                 );
                 assert_eq!(out.metrics.job, out.job, "metrics must be stamped with the job id");
+                assert_eq!(
+                    out.stages.len(),
+                    ref_stages.len(),
+                    "seed {seed}, {sched}, job {i} ({}): stage count drifted",
+                    kinds[k].0
+                );
+                for (got, want) in out.stages.iter().zip(ref_stages) {
+                    assert_eq!(
+                        stage_counters(got),
+                        stage_counters(want),
+                        "seed {seed}, {sched}, job {i} ({}): stage {} counters drifted",
+                        kinds[k].0,
+                        want.name
+                    );
+                }
                 done.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -399,7 +453,7 @@ fn cancel_storm_releases_tenant_cache_and_claim_slots() {
     // cancelled mid-flight. Every job must fail with `Cancelled`, expose
     // its partial roll-up (the `cancelled` counter and `JobCancelled`
     // event) through the handle, and release everything it held — cache-
-    // stamped entries, tenant admission slots, claim-pool slots — so a
+    // stamped entries, tenant admission slots, executor locks — so a
     // full follow-up batch from the same tenant admits and completes.
     //
     // All width-2 jobs share physical executors 0 and 1 (virtual `v`
@@ -502,7 +556,7 @@ fn cancel_storm_releases_tenant_cache_and_claim_slots() {
             "{sched}: cancelled jobs' cache-stamped entries must be released"
         );
 
-        // Admission slots and claim-pool slots released: a full second
+        // Admission slots and executor locks released: a full second
         // batch from the same tenant admits immediately and runs to
         // completion with the reference answer.
         let p = wc_params(ExecutionMode::Deca);
