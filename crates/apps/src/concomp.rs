@@ -1,18 +1,20 @@
 //! ConnectedComponents (§6.3, Figure 10b): label propagation over the
 //! cached adjacency, with a min-aggregated message shuffle per iteration.
 //!
-//! Shares the grouping/caching machinery with PageRank; the combine is
-//! `min` instead of `+`, and iteration stops when no label changes (or at
-//! the iteration cap, as in the paper's 10-iteration runs).
+//! The job runs on the graph layers it shares with PageRank (the
+//! `adj-build` stage and one message-propagation shuffle per iteration,
+//! see `graph.rs`); only the messages and the combine differ. Along every
+//! edge each endpoint sends the other its label, so components converge
+//! in both directions, and messages to one vertex combine with `min`. The
+//! driver lowers labels in reduce-task order and stops when no label
+//! changes (or at the iteration cap, as in the paper's 10-iteration
+//! runs). A min is exact under any combine order, so the labels are
+//! identical in every mode and at every executor count.
 
-use deca_core::DecaHashShuffle;
-use deca_engine::record::HeapRecord;
-use deca_engine::{ExecutionMode, Executor, ExecutorConfig, SparkHashShuffle};
+use deca_engine::{AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx};
 
 use crate::datagen;
-use crate::pagerank::build_adjacency;
-use crate::records::AdjListRec;
-use crate::report::AppReport;
+use crate::graph::cache_adjacency;
 
 /// Parameters of one ConnectedComponents run.
 #[derive(Clone, Debug)]
@@ -42,166 +44,57 @@ impl CcParams {
     }
 }
 
-pub fn run(params: &CcParams) -> AppReport {
-    let config = ExecutorConfig::new(params.mode, params.heap_bytes)
-        .storage_fraction(params.storage_fraction);
-    let mut exec = Executor::new(config);
-    let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
-    let pair_classes = <(i64, i64) as HeapRecord>::register(&mut exec.heap);
+/// The executor configuration ConnectedComponents runs under.
+pub fn cc_config(params: &CcParams) -> ExecutorConfig {
+    ExecutorConfig::new(params.mode, params.heap_bytes).storage_fraction(params.storage_fraction)
+}
 
-    let (blocks, _degrees, adj_classes) =
-        build_adjacency(&mut exec, &edges, params.vertices, params.partitions, params.mode);
-    exec.finish_job();
-    let cache_bytes = exec.job.cache_bytes + exec.job.swapped_cache_bytes;
+/// The ConnectedComponents job description: consumed by
+/// `DecaServer::submit` (via `JobSpec::app`) and by the standalone
+/// runners. Its checksum is the sum of the final labels.
+pub fn job(params: &CcParams) -> AppJob {
+    let params = params.clone();
+    AppJob::new("CC", move |job_ctx| run_concomp(&params, job_ctx))
+}
+
+fn run_concomp(params: &CcParams, job_ctx: &mut JobCtx) -> Result<f64, EngineError> {
+    let edges = datagen::power_law_graph(params.vertices, params.edges, params.seed);
+    let adjacency = cache_adjacency(job_ctx, &edges, params.partitions, params.mode)?;
 
     let mut labels: Vec<i64> = (0..params.vertices as i64).collect();
     for iter in 0..params.max_iterations {
-        let mut spark_mins: Option<SparkHashShuffle<i64, i64>> = match params.mode {
-            ExecutionMode::Deca => None,
-            _ => Some(SparkHashShuffle::new(&mut exec.heap).expect("buffer")),
-        };
-        let mut deca_mins: Option<DecaHashShuffle> = match params.mode {
-            ExecutionMode::Deca => Some(DecaHashShuffle::new(&mut exec.mm, 8, 8)),
-            _ => None,
-        };
-
-        for (pi, &block) in blocks.iter().enumerate() {
-            exec.run_task(format!("cc-iter{iter}-{pi}"), |e| match params.mode {
-                ExecutionMode::Spark | ExecutionMode::SparkSer => {
-                    let buf = spark_mins.as_mut().expect("spark buffer");
-                    let mut adj: Vec<AdjListRec> = Vec::new();
-                    match params.mode {
-                        ExecutionMode::Spark => {
-                            let (root, len) = e
-                                .cache
-                                .objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm)
-                                .expect("cache access");
-                            for i in 0..len {
-                                let arr = e.heap.root_ref(root);
-                                let v = e.heap.array_get_ref(arr, i);
-                                adj.push(AdjListRec::load(&e.heap, &adj_classes, v));
-                            }
-                        }
-                        _ => {
-                            e.cache
-                                .iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| {
-                                    adj.push(r)
-                                })
-                                .expect("cache access");
-                        }
-                    }
-                    for a in adj {
-                        let l = labels[a.vertex as usize];
-                        for &dst in &a.neighbors {
-                            // Message both ways so components converge.
-                            for (k, v) in [(dst as i64, l), (a.vertex as i64, labels[dst as usize])]
-                            {
-                                let tmp =
-                                    (k, v).store(&mut e.heap, &pair_classes).expect("temp msg");
-                                let ts = e.heap.push_stack(tmp);
-                                let (k, v) = <(i64, i64) as HeapRecord>::load(
-                                    &e.heap,
-                                    &pair_classes,
-                                    e.heap.stack_ref(ts),
-                                );
-                                e.heap.truncate_stack(ts);
-                                buf.insert(&mut e.heap, k, v, |a, b| a.min(b)).expect("combine");
-                            }
-                        }
-                    }
-                }
-                ExecutionMode::Deca => {
-                    let buf = deca_mins.as_mut().expect("deca buffer");
-                    let heap = &mut e.heap;
-                    let mm = &mut e.mm;
-                    let mut msgs: Vec<(i64, i64)> = Vec::new();
-                    let block = e.cache.deca_block(block);
-                    block
-                        .scan_bytes(
-                            mm,
-                            heap,
-                            |bytes| {
-                                let vertex = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-                                let n =
-                                    u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-                                let l = labels[vertex as usize];
-                                for j in 0..n {
-                                    let dst = u32::from_le_bytes(
-                                        bytes[8 + j * 4..12 + j * 4].try_into().unwrap(),
-                                    );
-                                    msgs.push((dst as i64, l));
-                                    msgs.push((vertex as i64, labels[dst as usize]));
-                                }
-                            },
-                            |_| {},
-                        )
-                        .expect("cache scan");
-                    for (k, v) in msgs {
-                        buf.insert(mm, heap, &k.to_le_bytes(), &v.to_le_bytes(), |acc, add| {
-                            let a = i64::from_le_bytes(acc[..8].try_into().unwrap());
-                            let b = i64::from_le_bytes(add[..8].try_into().unwrap());
-                            acc[..8].copy_from_slice(&a.min(b).to_le_bytes());
-                        })
-                        .expect("combine");
-                    }
-                }
-            });
+        let mins = adjacency.propagate(
+            job_ctx,
+            &format!("cc-iter{iter}"),
+            |a: i64, b| a.min(b),
+            |vertex, dst, out| {
+                out.push((dst as i64, labels[vertex as usize]));
+                out.push((vertex as i64, labels[dst as usize]));
+            },
+        )?;
+        let mut changed = 0usize;
+        for (vertex, min) in mins.into_iter().flatten() {
+            let label = &mut labels[vertex as usize];
+            if min < *label {
+                *label = min;
+                changed += 1;
+            }
         }
-
-        let changed = exec.run_task(format!("cc-update{iter}"), |e| {
-            let mut changed = 0usize;
-            if let Some(buf) = &spark_mins {
-                buf.for_each(&e.heap, |k, v| {
-                    let k = k as usize;
-                    if v < labels[k] {
-                        labels[k] = v;
-                        changed += 1;
-                    }
-                });
-            }
-            if let Some(buf) = &mut deca_mins {
-                buf.for_each(&mut e.mm, &mut e.heap, |k, v| {
-                    let k = i64::from_le_bytes(k[..8].try_into().unwrap()) as usize;
-                    let v = i64::from_le_bytes(v[..8].try_into().unwrap());
-                    if v < labels[k] {
-                        labels[k] = v;
-                        changed += 1;
-                    }
-                })
-                .expect("scan");
-            }
-            if let Some(mut buf) = spark_mins.take() {
-                buf.release(&mut e.heap);
-            }
-            if let Some(mut buf) = deca_mins.take() {
-                buf.release(&mut e.mm, &mut e.heap);
-            }
-            changed
-        });
         if changed == 0 {
             break;
         }
     }
-
-    exec.finish_job();
-    let checksum: f64 = labels.iter().map(|&l| l as f64).sum();
-    AppReport {
-        app: "CC".into(),
-        mode: params.mode,
-        metrics: exec.job.clone(),
-        timeline: exec.timeline.clone(),
-        checksum,
-        cache_bytes,
-        objects_traced: exec.heap.stats().objects_traced,
-        minor_gcs: exec.heap.stats().minor_collections,
-        full_gcs: exec.heap.stats().full_collections,
-        slowest_task: exec.slowest_task().cloned(),
-    }
+    Ok(labels.iter().map(|&l| l as f64).sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AppReport;
+
+    fn report(p: &CcParams) -> AppReport {
+        crate::run_job_local(&job(p), cc_config(p), 1)
+    }
 
     fn tiny(mode: ExecutionMode) -> CcParams {
         CcParams {
@@ -218,16 +111,16 @@ mod tests {
 
     #[test]
     fn all_modes_agree() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let ser = run(&tiny(ExecutionMode::SparkSer));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = report(&tiny(ExecutionMode::Spark));
+        let ser = report(&tiny(ExecutionMode::SparkSer));
+        let deca = report(&tiny(ExecutionMode::Deca));
         assert_eq!(spark.checksum, deca.checksum);
         assert_eq!(ser.checksum, deca.checksum);
     }
 
     #[test]
     fn labels_decrease_monotonically() {
-        let r = run(&tiny(ExecutionMode::Deca));
+        let r = report(&tiny(ExecutionMode::Deca));
         // Components exist: the checksum is well below the no-propagation
         // sum of 0..V.
         let v = 300f64;

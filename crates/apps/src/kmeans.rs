@@ -15,17 +15,13 @@
 //! executor without its block recaches it from the generated partition
 //! first (lineage recompute).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use deca_engine::record::HeapRecord;
-use deca_engine::{
-    AppJob, ClusterSession, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx,
-};
+use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 
+use crate::cached::CachedBlocks;
 use crate::datagen;
+use crate::logreg::points_config;
 use crate::records::LabeledPointRec;
-use crate::report::AppReport;
 
 /// Parameters of one KMeans run.
 #[derive(Clone, Debug)]
@@ -63,62 +59,17 @@ impl KmParams {
     }
 }
 
-/// Run KMeans on one executor and report metrics, cache size, and the
-/// final-centroids checksum (the single-executor shim kept for the bench
-/// binaries and cross-mode tests).
-pub fn run(params: &KmParams) -> AppReport {
-    run_local(params, 1)
-}
-
-/// Run KMeans across `executors` parallel executors. The centroids are
-/// bit-identical for any executor count: task `p` always scans its own
-/// cached partition and the driver folds partial sums in task order.
-pub fn run_local(params: &KmParams, executors: usize) -> AppReport {
-    crate::run_job_local(&job(params), km_config(params), executors)
-}
-
-/// Run the KMeans job on an already-built session (any executor shape,
-/// any installed fault plan) and return its checksum.
-pub fn run_on(params: &KmParams, session: &mut ClusterSession) -> Result<f64, EngineError> {
-    job(params).run(&mut JobCtx::local(session))
-}
-
-/// The executor configuration KMeans runs under (public so equivalence
-/// tests can build sessions with the exact same memory split, then vary
-/// retry policy and scheduler mode).
-pub fn km_config(params: &KmParams) -> ExecutorConfig {
-    let mut config = ExecutorConfig::new(params.mode, params.heap_bytes)
-        .storage_fraction(params.storage_fraction)
-        .gc_algorithm(params.gc_algorithm);
-    if let Some(page) = params.page_size {
-        config = config.page_size(page);
-    }
-    config
-}
-
-/// Cache one partition of labeled points in the mode's representation.
-fn load_block(
-    e: &mut Executor,
-    part: &[LabeledPointRec],
-    mode: ExecutionMode,
-    dims: usize,
-    classes: &crate::records::LabeledPointClasses,
-) -> Result<deca_engine::cache::BlockId, EngineError> {
-    Ok(match mode {
-        ExecutionMode::Spark => {
-            e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, classes, part)?
-        }
-        ExecutionMode::SparkSer => {
-            e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, part)?
-        }
-        ExecutionMode::Deca => {
-            e.cache.put_deca_sfst(&mut e.heap, &mut e.mm, part, LabeledPointRec::sfst_size(dims))?
-        }
-    })
+/// The executor configuration KMeans runs under: LR's, since both cache
+/// the same labeled points (public so equivalence tests can build
+/// sessions with the exact same memory split, then vary retry policy and
+/// scheduler mode).
+pub fn km_config(p: &KmParams) -> ExecutorConfig {
+    points_config(p.mode, p.heap_bytes, p.storage_fraction, p.gc_algorithm, p.page_size)
 }
 
 /// The KMeans job description: consumed by `DecaServer::submit` (via
-/// `JobSpec::app`) and by the local shims above.
+/// `JobSpec::app`) and by the standalone runners
+/// ([`crate::run_job_local`], [`crate::run_job_on`]).
 pub fn job(params: &KmParams) -> AppJob {
     let params = params.clone();
     AppJob::new("KMeans", move |job_ctx| run_kmeans(&params, job_ctx))
@@ -135,21 +86,11 @@ fn run_kmeans(params: &KmParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
     let d = params.dims;
     let k = params.clusters;
 
-    // Load stage: partition p's points are cached on executor p % E,
-    // where every iteration's task p (same pinning) will scan them.
-    let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
-        Mutex::new(HashMap::new());
-    let parts_now = &parts;
-    {
-        let blocks_now = &blocks;
-        job_ctx.run_stage("km-load", params.partitions, |ctx, e| {
-            let classes = LabeledPointRec::register(&mut e.heap);
-            let block = load_block(e, &parts_now[ctx.task], mode, d, &classes)?;
-            blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
-            Ok(())
-        })?;
-    }
-    job_ctx.note_cache_bytes();
+    let sfst_size = Some(LabeledPointRec::sfst_size(d));
+    let blocks = CachedBlocks::load(job_ctx, "km-load", params.partitions, |e, task| {
+        let classes = LabeledPointRec::register(&mut e.heap);
+        Ok(e.cache_put(mode, &classes, &parts[task], sfst_size)?)
+    })?;
 
     // Deterministic initial centroids from the data.
     let mut centroids: Vec<Vec<f64>> = data
@@ -165,29 +106,10 @@ fn run_kmeans(params: &KmParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
     // ------------------------------------------------------ iterations
     for iter in 0..params.iterations {
         let centroids_now = &centroids;
-        let blocks_now = &blocks;
         let partials: Vec<KmPartial> =
             job_ctx.run_stage(&format!("km-iter{iter}"), params.partitions, |ctx, e| {
                 let classes = LabeledPointRec::register(&mut e.heap);
-                // Trust the cached handle only if the block is still
-                // resident on this executor; a retried or stolen attempt
-                // recaches from the generated partition (lineage
-                // recompute), so the scanned bytes are identical wherever
-                // the task lands.
-                let cached = blocks_now
-                    .lock()
-                    .unwrap()
-                    .get(&(ctx.executor, ctx.task))
-                    .copied()
-                    .filter(|b| e.cache.contains(*b));
-                let block = match cached {
-                    Some(b) => b,
-                    None => {
-                        let b = load_block(e, &parts_now[ctx.task], mode, d, &classes)?;
-                        blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
-                        b
-                    }
-                };
+                let block = blocks.get(ctx, e)?;
                 let mut sums = vec![vec![0.0f64; d]; k];
                 let mut counts = vec![0usize; k];
                 match mode {
@@ -349,6 +271,11 @@ fn deca_assign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AppReport;
+
+    fn report(p: &KmParams, width: usize) -> AppReport {
+        crate::run_job_local(&job(p), km_config(p), width)
+    }
 
     fn tiny(mode: ExecutionMode) -> KmParams {
         KmParams {
@@ -368,9 +295,9 @@ mod tests {
 
     #[test]
     fn all_modes_agree() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let ser = run(&tiny(ExecutionMode::SparkSer));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = report(&tiny(ExecutionMode::Spark), 1);
+        let ser = report(&tiny(ExecutionMode::SparkSer), 1);
+        let deca = report(&tiny(ExecutionMode::Deca), 1);
         assert!((spark.checksum - deca.checksum).abs() < 1e-9);
         assert!((ser.checksum - deca.checksum).abs() < 1e-9);
         assert!(deca.checksum > 0.0);
@@ -382,9 +309,9 @@ mod tests {
         // bit-identical centroids on 1, 2, and 4 executors, in every mode
         // (driver folds partials in task order; stolen tasks recache).
         for mode in ExecutionMode::ALL {
-            let reference = run_local(&tiny(mode), 1).checksum;
+            let reference = report(&tiny(mode), 1).checksum;
             for width in [2usize, 4] {
-                let got = run_local(&tiny(mode), width).checksum;
+                let got = report(&tiny(mode), width).checksum;
                 assert_eq!(got.to_bits(), reference.to_bits(), "{mode} x{width}");
             }
         }

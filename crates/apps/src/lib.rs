@@ -13,9 +13,15 @@
 //! | ConnectedComponents | multiple | multiple | static | grouped+aggregated |
 //! | SQL Q1/Q2 | 1–2 | single | static | none / aggregated |
 //!
-//! Each app returns an [`report::AppReport`] with the measured breakdown
-//! and a result checksum, asserted identical across modes by the
-//! integration tests.
+//! Every app except SQL is described once as an [`AppJob`]: `app::job(&p)`
+//! builds the job and `app::*_config(&p)` its executor configuration.
+//! One runner family runs every job standalone: [`run_job_local`] on a
+//! fresh cluster, [`run_job_faulty`] under an injected fault plan, and
+//! [`run_job_on`] on a session the caller built. The same description is
+//! what [`deca_engine::DecaServer`] runs for a `JobSpec::app`. A run
+//! returns an [`report::AppReport`] with the measured breakdown and a
+//! result checksum, asserted identical across modes by the integration
+//! tests. The SQL queries ([`sql`]) still run on their own executor.
 //!
 //! Data generators ([`datagen`]) replace the paper's datasets (Hadoop
 //! RandomWriter text, Amazon image vectors, LiveJournal/webbase/HiBench
@@ -25,8 +31,10 @@
 
 #![forbid(unsafe_code)]
 
+mod cached;
 pub mod concomp;
 pub mod datagen;
+mod graph;
 pub mod kmeans;
 pub mod logreg;
 pub mod pagerank;
@@ -41,9 +49,8 @@ use deca_engine::{
     AppJob, ClusterSession, EngineError, ExecutorConfig, FaultPlan, JobCtx, RetryPolicy,
 };
 
-/// Run an [`AppJob`] on a private standalone cluster — the thin local shim
-/// over the same job description [`deca_engine::DecaServer::submit`]
-/// consumes. The report's label is the job's name.
+/// Run an [`AppJob`] on a private standalone cluster of `executors`
+/// executors. The report's label is the job's name.
 pub fn run_job_local(app: &AppJob, config: ExecutorConfig, executors: usize) -> AppReport {
     run_job_faulty(app, config, executors, FaultPlan::quiet(), None)
         .expect("fault-free local job run")
@@ -66,11 +73,18 @@ pub fn run_job_faulty(
     };
     let mut session = ClusterSession::new(executors, config);
     session.install_faults(plan);
-    let (checksum, cache_bytes) = {
-        let mut ctx = JobCtx::local(&mut session);
-        let checksum = app.run(&mut ctx)?;
-        (checksum, ctx.noted_cache_bytes())
-    };
-    session.finish_job();
+    let (checksum, cache_bytes) = run_job_on(app, &mut session)?;
     Ok(AppReport::from_cluster(app.name(), &session, checksum, cache_bytes))
+}
+
+/// Run an [`AppJob`] on a session the caller built (any executor shape,
+/// scheduler or installed fault plan) and finish the job. Returns the
+/// checksum and the cache footprint the job noted once its cache was
+/// built.
+pub fn run_job_on(app: &AppJob, session: &mut ClusterSession) -> Result<(f64, usize), EngineError> {
+    let mut ctx = JobCtx::local(session);
+    let checksum = app.run(&mut ctx)?;
+    let cache_bytes = ctx.noted_cache_bytes();
+    session.finish_job();
+    Ok((checksum, cache_bytes))
 }

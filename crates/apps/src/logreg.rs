@@ -18,20 +18,15 @@
 //! retried or stolen task that lands on an executor without its block
 //! recaches it from the generated partition first (lineage recompute).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use deca_core::optimizer::ContainerDecision;
 use deca_core::Optimizer;
 use deca_engine::record::HeapRecord;
-use deca_engine::{
-    AppJob, ClusterSession, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx,
-};
+use deca_engine::{AppJob, EngineError, ExecutionMode, Executor, ExecutorConfig, JobCtx};
 use deca_udt::{ContainerId, ContainerKind, JobPhases, TypeRef};
 
+use crate::cached::CachedBlocks;
 use crate::datagen;
 use crate::records::LabeledPointRec;
-use crate::report::AppReport;
 
 /// Parameters of one LR run.
 #[derive(Clone, Debug)]
@@ -71,38 +66,29 @@ impl LrParams {
     }
 }
 
-/// Run LR on one executor and report metrics, cache size, and the
-/// final-weights checksum. (Unlike the paper's reported numbers, the
-/// cluster-driven report includes the load stage in the job totals — the
-/// `lr-load` stage metrics keep it separable.)
-pub fn run(params: &LrParams) -> AppReport {
-    run_local(params, 1)
-}
-
-/// Run LR across `executors` parallel executors. The weights are
-/// bit-identical for any executor count: task `p` always scans its own
-/// cached partition and the driver sums partial gradients in task order.
-pub fn run_local(params: &LrParams, executors: usize) -> AppReport {
-    crate::run_job_local(&job(params), lr_config(params), executors)
-}
-
-/// Run the LR job on an already-built session (any executor shape, any
-/// installed fault plan) and return its checksum.
-pub fn run_on(params: &LrParams, session: &mut ClusterSession) -> Result<f64, EngineError> {
-    job(params).run(&mut JobCtx::local(session))
-}
-
 /// The executor configuration LR runs under (public so equivalence tests
 /// can build sessions with the exact same memory split, then vary retry
 /// policy and scheduler mode).
-pub fn lr_config(params: &LrParams) -> ExecutorConfig {
-    let mut config = ExecutorConfig::new(params.mode, params.heap_bytes)
-        .storage_fraction(params.storage_fraction)
-        .gc_algorithm(params.gc_algorithm);
-    if let Some(page) = params.page_size {
-        config = config.page_size(page);
+pub fn lr_config(p: &LrParams) -> ExecutorConfig {
+    points_config(p.mode, p.heap_bytes, p.storage_fraction, p.gc_algorithm, p.page_size)
+}
+
+/// The configuration of an app whose cache holds labeled points (LR and
+/// KMeans).
+pub(crate) fn points_config(
+    mode: ExecutionMode,
+    heap_bytes: usize,
+    storage_fraction: f64,
+    gc_algorithm: deca_heap::GcAlgorithm,
+    page_size: Option<usize>,
+) -> ExecutorConfig {
+    let config = ExecutorConfig::new(mode, heap_bytes)
+        .storage_fraction(storage_fraction)
+        .gc_algorithm(gc_algorithm);
+    match page_size {
+        Some(page) => config.page_size(page),
+        None => config,
     }
-    config
 }
 
 /// Before caching, Deca's runtime optimizer classifies the cached UDT
@@ -128,29 +114,11 @@ fn assert_deca_plan() {
     );
 }
 
-/// Cache one partition of labeled points in the mode's representation.
-fn load_block(
-    e: &mut Executor,
-    part: &[crate::records::LabeledPointRec],
-    mode: ExecutionMode,
-    dims: usize,
-    classes: &crate::records::LabeledPointClasses,
-) -> Result<deca_engine::cache::BlockId, EngineError> {
-    Ok(match mode {
-        ExecutionMode::Spark => {
-            e.cache.put_objects(&mut e.heap, &mut e.kryo, &mut e.mm, classes, part)?
-        }
-        ExecutionMode::SparkSer => {
-            e.cache.put_serialized(&mut e.heap, &mut e.kryo, &mut e.mm, part)?
-        }
-        ExecutionMode::Deca => {
-            e.cache.put_deca_sfst(&mut e.heap, &mut e.mm, part, LabeledPointRec::sfst_size(dims))?
-        }
-    })
-}
-
 /// The LR job description: consumed by `DecaServer::submit` (via
-/// `JobSpec::app`) and by the local shims above.
+/// `JobSpec::app`) and by the standalone runners
+/// ([`crate::run_job_local`], [`crate::run_job_on`]). Unlike the paper's
+/// reported numbers, a run's job totals include the `lr-load` stage; its
+/// stage metrics keep it separable.
 pub fn job(params: &LrParams) -> AppJob {
     let params = params.clone();
     AppJob::new("LR", move |job_ctx| run_logreg(&params, job_ctx))
@@ -164,51 +132,21 @@ fn run_logreg(params: &LrParams, job_ctx: &mut JobCtx) -> Result<f64, EngineErro
     let parts = datagen::partition(&data, params.partitions);
     let mode = params.mode;
     let dims = params.dims;
-
-    // Load stage: partition p's points are cached on executor p % E,
-    // where every iteration's task p (same pinning) will scan them.
-    let blocks: Mutex<HashMap<(usize, usize), deca_engine::cache::BlockId>> =
-        Mutex::new(HashMap::new());
-    let parts_now = &parts;
-    {
-        let blocks_now = &blocks;
-        job_ctx.run_stage("lr-load", params.partitions, |ctx, e| {
-            let classes = LabeledPointRec::register(&mut e.heap);
-            let block = load_block(e, &parts_now[ctx.task], mode, dims, &classes)?;
-            blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), block);
-            Ok(())
-        })?;
-    }
-    job_ctx.note_cache_bytes();
+    let sfst_size = Some(LabeledPointRec::sfst_size(dims));
+    let blocks = CachedBlocks::load(job_ctx, "lr-load", params.partitions, |e, task| {
+        let classes = LabeledPointRec::register(&mut e.heap);
+        Ok(e.cache_put(mode, &classes, &parts[task], sfst_size)?)
+    })?;
 
     // ------------------------------------------------------ iterations
     let mut weights: Vec<f64> = (0..dims).map(|i| 0.1 * ((i % 7) as f64 - 3.0)).collect();
     for iter in 0..params.iterations {
         let weights_now = &weights;
-        let blocks_now = &blocks;
         let sample = params.sample_timeline;
         let partials =
             job_ctx.run_stage(&format!("lr-iter{iter}"), params.partitions, |ctx, e| {
                 let classes = LabeledPointRec::register(&mut e.heap);
-                // The handle is only trusted if the cache still holds the
-                // block — a retried or stolen attempt that landed on an
-                // executor without it recaches from the generated partition
-                // (lineage recompute), so the scanned bytes are identical
-                // wherever the task lands.
-                let cached = blocks_now
-                    .lock()
-                    .unwrap()
-                    .get(&(ctx.executor, ctx.task))
-                    .copied()
-                    .filter(|b| e.cache.contains(*b));
-                let block = match cached {
-                    Some(b) => b,
-                    None => {
-                        let b = load_block(e, &parts_now[ctx.task], mode, dims, &classes)?;
-                        blocks_now.lock().unwrap().insert((ctx.executor, ctx.task), b);
-                        b
-                    }
-                };
+                let block = blocks.get(ctx, e)?;
                 let mut partial = vec![0.0f64; dims];
                 match mode {
                     ExecutionMode::Spark => {
@@ -381,6 +319,11 @@ fn deca_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AppReport;
+
+    fn report(p: &LrParams) -> AppReport {
+        crate::run_job_local(&job(p), lr_config(p), 1)
+    }
 
     fn tiny(mode: ExecutionMode) -> LrParams {
         LrParams {
@@ -400,9 +343,9 @@ mod tests {
 
     #[test]
     fn all_modes_compute_identical_weights() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let ser = run(&tiny(ExecutionMode::SparkSer));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = report(&tiny(ExecutionMode::Spark));
+        let ser = report(&tiny(ExecutionMode::SparkSer));
+        let deca = report(&tiny(ExecutionMode::Deca));
         assert!((spark.checksum - deca.checksum).abs() < 1e-12);
         assert!((ser.checksum - deca.checksum).abs() < 1e-12);
         assert!(spark.checksum > 0.0);
@@ -410,8 +353,8 @@ mod tests {
 
     #[test]
     fn deca_cache_is_smaller_than_spark() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = report(&tiny(ExecutionMode::Spark));
+        let deca = report(&tiny(ExecutionMode::Deca));
         assert!(
             deca.cache_bytes < spark.cache_bytes,
             "deca {} vs spark {}",
@@ -424,7 +367,7 @@ mod tests {
     fn timeline_shows_live_points_in_spark_only() {
         let mut p = tiny(ExecutionMode::Spark);
         p.sample_timeline = true;
-        let spark = run(&p);
+        let spark = report(&p);
         assert!(
             spark.timeline.peak_live() >= p.points,
             "cached points live on the heap: peak={} points={}",
@@ -433,7 +376,7 @@ mod tests {
         );
         let mut p = tiny(ExecutionMode::Deca);
         p.sample_timeline = true;
-        let deca = run(&p);
+        let deca = report(&p);
         assert_eq!(deca.timeline.peak_live(), 0, "no LabeledPoint objects in Deca");
     }
 }

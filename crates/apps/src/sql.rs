@@ -97,11 +97,6 @@ fn byte_array_class(heap: &mut deca_heap::Heap) -> deca_heap::ClassId {
     }
 }
 
-/// Result of one query run.
-pub struct SqlReport {
-    pub report: AppReport,
-}
-
 /// Run Query 1 (filter on `rankings`).
 pub fn run_query1(params: &SqlParams) -> AppReport {
     let mut exec =

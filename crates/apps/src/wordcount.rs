@@ -10,20 +10,19 @@
 //! The job is described once as an [`AppJob`] ([`job`] for the integer-id
 //! input, [`text_job`] for text tokens): one map task per partition, an
 //! all-to-all exchange, one reduce task per partition. The same
-//! description runs standalone ([`run`], [`run_local`]) or submitted to a
-//! [`deca_engine::DecaServer`], with bit-identical results for any
+//! description runs standalone ([`crate::run_job_local`]) or submitted to
+//! a [`deca_engine::DecaServer`], with bit-identical results for any
 //! executor count (the word checksums are integer-valued f64 sums, exact
 //! under any addition order).
 
 use deca_core::{DecaHashShuffle, DecaRecord, DecaVarHashShuffle};
 use deca_engine::record::HeapRecord;
 use deca_engine::{
-    AppJob, ClusterSession, EngineError, ExecutionMode, ExecutorConfig, JobCtx, MapOutputs,
-    ShufflePayload, SparkHashShuffle,
+    AppJob, EngineError, ExecutionMode, ExecutorConfig, JobCtx, MapOutputs, ShufflePayload,
+    SparkHashShuffle,
 };
 
 use crate::datagen;
-use crate::report::AppReport;
 
 /// Parameters of one WordCount run.
 #[derive(Clone, Debug)]
@@ -53,12 +52,6 @@ impl WcParams {
     }
 }
 
-/// Run WordCount on one executor and report metrics plus a
-/// mode-independent checksum.
-pub fn run(params: &WcParams) -> AppReport {
-    run_local(params, 1)
-}
-
 /// The executor configuration WordCount runs under (public so the
 /// scheduler-equivalence tests can build sessions with the exact same
 /// memory split, then vary retry policy and scheduler mode).
@@ -72,7 +65,7 @@ pub fn wc_config(params: &WcParams) -> ExecutorConfig {
 }
 
 /// The WordCount job description: consumed by `DecaServer::submit`
-/// (via `JobSpec::app`) and by the local shims below. WordCount's tasks
+/// (via `JobSpec::app`) and by the standalone runners. WordCount's tasks
 /// depend only on `(task index, partition data)` — never on cross-stage
 /// executor-local state — so retried or stolen tasks may migrate freely.
 pub fn job(params: &WcParams) -> AppJob {
@@ -88,19 +81,6 @@ pub fn job(params: &WcParams) -> AppJob {
             ExecutionMode::Deca => run_deca(ctx, &parts, reducers, p.sample_every),
         }
     })
-}
-
-/// Run the WordCount job on an already-built session (any executor shape,
-/// any installed fault plan) and return its checksum.
-pub fn run_on(params: &WcParams, session: &mut ClusterSession) -> Result<f64, EngineError> {
-    job(params).run(&mut JobCtx::local(session))
-}
-
-/// Run WordCount across `executors` parallel executors. Results are
-/// bit-identical for any executor count (tasks are pinned round-robin and
-/// the exchange preserves map-task order).
-pub fn run_local(params: &WcParams, executors: usize) -> AppReport {
-    crate::run_job_local(&job(params), wc_config(params), executors)
 }
 
 fn run_spark(
@@ -279,16 +259,6 @@ pub fn text_job(params: &WcParams) -> AppJob {
     })
 }
 
-/// Run text-keyed WordCount over text tokens on one executor.
-pub fn run_text(params: &WcParams) -> AppReport {
-    run_text_local(params, 1)
-}
-
-/// Text-keyed WordCount across `executors` parallel executors.
-pub fn run_text_local(params: &WcParams, executors: usize) -> AppReport {
-    crate::run_job_local(&text_job(params), wc_config(params), executors)
-}
-
 fn text_checksum(word: &str, count: i64) -> f64 {
     (word.len() as f64 + word.as_bytes()[1] as f64) * count as f64
 }
@@ -442,6 +412,11 @@ fn add_i64_bytes(acc: &mut [u8], add: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_job_local, AppReport};
+
+    fn report(p: &WcParams, width: usize) -> AppReport {
+        run_job_local(&job(p), wc_config(p), width)
+    }
 
     fn tiny(mode: ExecutionMode) -> WcParams {
         WcParams {
@@ -457,16 +432,17 @@ mod tests {
 
     #[test]
     fn spark_and_deca_agree() {
-        let spark = run(&tiny(ExecutionMode::Spark));
-        let deca = run(&tiny(ExecutionMode::Deca));
+        let spark = report(&tiny(ExecutionMode::Spark), 1);
+        let deca = report(&tiny(ExecutionMode::Deca), 1);
         assert_eq!(spark.checksum, deca.checksum, "same aggregation result");
         assert!(spark.checksum > 0.0);
     }
 
     #[test]
     fn text_mode_agrees_across_spark_and_deca() {
-        let spark = run_text(&tiny(ExecutionMode::Spark));
-        let deca = run_text(&tiny(ExecutionMode::Deca));
+        let text = |p: &WcParams| run_job_local(&text_job(p), wc_config(p), 1);
+        let spark = text(&tiny(ExecutionMode::Spark));
+        let deca = text(&tiny(ExecutionMode::Deca));
         assert_eq!(spark.checksum, deca.checksum);
         assert!(spark.checksum > 0.0);
     }
@@ -475,10 +451,10 @@ mod tests {
     fn spark_mode_churns_objects_deca_does_not() {
         let mut p = tiny(ExecutionMode::Spark);
         p.sample_every = 1000;
-        let spark = run(&p);
+        let spark = report(&p, 1);
         let mut p = tiny(ExecutionMode::Deca);
         p.sample_every = 1000;
-        let deca = run(&p);
+        let deca = report(&p, 1);
         assert!(
             spark.timeline.peak_live() > 100,
             "Spark: temporary tuples populate the heap (peak {})",
@@ -490,8 +466,8 @@ mod tests {
     #[test]
     fn executor_count_does_not_change_results() {
         for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
-            let one = run_local(&tiny(mode), 1);
-            let four = run_local(&tiny(mode), 4);
+            let one = report(&tiny(mode), 1);
+            let four = report(&tiny(mode), 4);
             assert_eq!(one.checksum, four.checksum, "{mode}");
         }
     }

@@ -13,7 +13,8 @@
 
 use std::time::{Duration, Instant};
 
-use deca_apps::wordcount::{run_local, WcParams};
+use deca_apps::run_job_local;
+use deca_apps::wordcount::{job, wc_config, WcParams};
 use deca_bench::{secs, table_header, table_row, Scale};
 use deca_engine::ExecutionMode;
 
@@ -36,8 +37,12 @@ fn main() {
         p
     };
 
+    let report_at = |mode, executors| {
+        let p = params(mode);
+        run_job_local(&job(&p), wc_config(&p), executors)
+    };
     // Reference result: every mode and every width must reproduce it.
-    let expected = run_local(&params(ExecutionMode::Deca), 1).checksum;
+    let expected = report_at(ExecutionMode::Deca, 1).checksum;
 
     table_header(&["executors", "Spark_s", "SparkSer_s", "Deca_s", "Spark/Deca", "scaling"]);
     let mut spark_base = Duration::ZERO;
@@ -45,7 +50,7 @@ fn main() {
         let mut times = Vec::new();
         for mode in ExecutionMode::ALL {
             let t = Instant::now();
-            let report = run_local(&params(mode), executors);
+            let report = report_at(mode, executors);
             times.push(t.elapsed());
             assert_eq!(
                 report.checksum, expected,

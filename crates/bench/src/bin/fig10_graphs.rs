@@ -11,6 +11,7 @@
 use deca_apps::concomp::{self, CcParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::report::{speedup, AppReport};
+use deca_apps::run_job_local;
 use deca_bench::{mb, secs, table_header, table_row, Scale};
 use deca_engine::ExecutionMode;
 
@@ -73,7 +74,7 @@ fn run_pr(scale: &Scale) {
             p.edges = edges;
             p.iterations = scale.graph_iterations;
             p.heap_bytes = 48 << 20;
-            reports.push(pagerank::run(&p));
+            reports.push(run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1));
         }
         assert!((reports[0].checksum - reports[2].checksum).abs() < 1e-6);
         print_row(label, &reports);
@@ -100,7 +101,7 @@ fn run_cc(scale: &Scale) {
             p.edges = edges;
             p.max_iterations = scale.graph_iterations * 2;
             p.heap_bytes = 48 << 20;
-            reports.push(concomp::run(&p));
+            reports.push(run_job_local(&concomp::job(&p), concomp::cc_config(&p), 1));
         }
         assert_eq!(reports[0].checksum, reports[2].checksum);
         print_row(label, &reports);

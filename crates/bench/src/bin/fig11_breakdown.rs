@@ -10,6 +10,7 @@
 
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
+use deca_apps::run_job_local;
 use deca_bench::{table_header, table_row, Scale};
 use deca_engine::{ExecutionMode, TaskMetrics};
 
@@ -44,7 +45,7 @@ fn main() {
             p.iterations = scale.lr_iterations;
             p.heap_bytes = 16 << 20;
             p.storage_fraction = 0.62;
-            let r = logreg::run(&p);
+            let r = run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1);
             let t = r.slowest_task.expect("tasks ran");
             breakdown_row(label, mode.name(), &t);
         }
@@ -58,7 +59,7 @@ fn main() {
         p.edges = scale.records(250_000);
         p.iterations = scale.graph_iterations;
         p.heap_bytes = 32 << 20;
-        let r = pagerank::run(&p);
+        let r = run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1);
         let t = r.slowest_task.expect("tasks ran");
         breakdown_row("PR", mode.name(), &t);
     }

@@ -9,7 +9,8 @@
 #![forbid(unsafe_code)]
 
 use deca_apps::report::speedup;
-use deca_apps::wordcount::{self, run, WcParams};
+use deca_apps::run_job_local;
+use deca_apps::wordcount::{self, WcParams};
 use deca_bench::{secs, table_header, table_row, Scale};
 use deca_engine::ExecutionMode;
 
@@ -44,7 +45,7 @@ fn run_text_exec(scale: &Scale) {
                     seed: 42,
                     sample_every: 0,
                 };
-                reports.push(wordcount::run_text(&p));
+                reports.push(run_job_local(&wordcount::text_job(&p), wordcount::wc_config(&p), 1));
             }
             assert_eq!(reports[0].checksum, reports[1].checksum);
             table_row(&[
@@ -71,7 +72,7 @@ fn run_lifetime(scale: &Scale) {
             seed: 42,
             sample_every: 10_000,
         };
-        let r = run(&p);
+        let r = run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 1);
         println!("\n{} (exec {}s, gc {}s):", mode.name(), secs(r.exec()), secs(r.gc()));
         println!("t_ms\tlive_tuple2\tcum_gc_ms");
         for s in &r.timeline.samples {
@@ -104,7 +105,7 @@ fn run_exec(scale: &Scale) {
                     seed: 42,
                     sample_every: 0,
                 };
-                reports.push(run(&p));
+                reports.push(run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 1));
             }
             assert_eq!(reports[0].checksum, reports[1].checksum, "modes must agree");
             table_row(&[

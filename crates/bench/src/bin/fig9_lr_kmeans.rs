@@ -14,6 +14,7 @@
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::report::{speedup, AppReport};
+use deca_apps::run_job_local;
 use deca_bench::{mb, secs, table_header, table_row, Scale};
 use deca_engine::ExecutionMode;
 
@@ -46,7 +47,7 @@ fn run_lifetime(scale: &Scale) {
         p.iterations = scale.lr_iterations;
         p.heap_bytes = 16 << 20;
         p.sample_timeline = true;
-        let r = logreg::run(&p);
+        let r = run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1);
         println!("\n{} (exec {}s, gc {}s):", mode.name(), secs(r.exec()), secs(r.gc()));
         println!("t_ms\tlive_labeled_points\tcum_gc_ms");
         for s in &r.timeline.samples {
@@ -108,7 +109,7 @@ fn run_lr(scale: &Scale) {
             p.iterations = scale.lr_iterations;
             p.heap_bytes = 16 << 20;
             p.storage_fraction = 0.62;
-            reports.push(logreg::run(&p));
+            reports.push(run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1));
         }
         assert!((reports[0].checksum - reports[2].checksum).abs() < 1e-9);
         print_row(label, &reports);
@@ -136,7 +137,7 @@ fn run_kmeans(scale: &Scale) {
             p.iterations = scale.lr_iterations.min(10);
             p.heap_bytes = 16 << 20;
             p.storage_fraction = 0.62;
-            reports.push(kmeans::run(&p));
+            reports.push(run_job_local(&kmeans::job(&p), kmeans::km_config(&p), 1));
         }
         assert!((reports[0].checksum - reports[2].checksum).abs() < 1e-6);
         print_row(label, &reports);

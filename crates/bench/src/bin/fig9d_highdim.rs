@@ -11,6 +11,7 @@
 use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::report::speedup;
+use deca_apps::run_job_local;
 use deca_bench::{mb, secs, table_header, table_row, Scale};
 use deca_engine::ExecutionMode;
 
@@ -43,7 +44,7 @@ fn main() {
             p.heap_bytes = 24 << 20;
             p.page_size = Some(256 << 10); // big records need big pages
             p.partitions = 2;
-            reports.push(logreg::run(&p));
+            reports.push(run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1));
         }
         assert!((reports[0].checksum - reports[2].checksum).abs() < 1e-9);
         table_row(&[
@@ -68,7 +69,7 @@ fn main() {
             p.heap_bytes = 24 << 20;
             p.page_size = Some(256 << 10);
             p.partitions = 2;
-            reports.push(kmeans::run(&p));
+            reports.push(run_job_local(&kmeans::job(&p), kmeans::km_config(&p), 1));
         }
         assert!((reports[0].checksum - reports[2].checksum).abs() < 1e-6);
         table_row(&[

@@ -91,6 +91,7 @@ use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::report::AppReport;
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_local, run_job_on};
 use deca_bench::Scale;
 use deca_check::bench::summarize;
 use deca_check::Json;
@@ -314,20 +315,23 @@ fn main() {
     for mode in MODES {
         let wc = wc_params(scale, mode);
         cells.push(measure(&format!("WC/{}", mode.name()), samples, || {
-            wordcount::run_local(&wc, 2)
+            run_job_local(&wordcount::job(&wc), wordcount::wc_config(&wc), 2)
         }));
         let lr = lr_params(scale, mode);
-        cells.push(measure(&format!("LR/{}", mode.name()), samples, || logreg::run(&lr)));
+        cells.push(measure(&format!("LR/{}", mode.name()), samples, || {
+            run_job_local(&logreg::job(&lr), logreg::lr_config(&lr), 1)
+        }));
         let pr = pr_params(scale, mode);
-        cells
-            .push(measure(&format!("PR/{}", mode.name()), samples, || pagerank::run_local(&pr, 2)));
+        cells.push(measure(&format!("PR/{}", mode.name()), samples, || {
+            run_job_local(&pagerank::job(&pr), pagerank::pr_config(&pr), 2)
+        }));
         let press = pressure_params(scale, mode);
         cells.push(measure(&format!("PR-CACHE/{}", mode.name()), samples, || {
-            pagerank::run_local(&press, 2)
+            run_job_local(&pagerank::job(&press), pagerank::pr_config(&press), 2)
         }));
         let shuf = wc_shuffle_params(gate_scale, mode);
         cells.push(measure(&format!("WC-SHUF/{}", mode.name()), samples, || {
-            wordcount::run_local(&shuf, 2)
+            run_job_local(&wordcount::job(&shuf), wordcount::wc_config(&shuf), 2)
         }));
     }
 
@@ -338,8 +342,7 @@ fn main() {
         .map(|&mode| {
             let p = pressure_params(scale, mode);
             let mut session = ClusterSession::new(2, pagerank::pr_config(&p));
-            pagerank::run_on(&p, &mut session).expect("pressure smoke run");
-            session.finish_job();
+            run_job_on(&pagerank::job(&p), &mut session).expect("pressure smoke run");
             let stats = session.cluster().executors.iter().map(|e| e.cache_stats()).fold(
                 deca_engine::CacheStats::default(),
                 |mut acc, s| {
@@ -377,8 +380,7 @@ fn main() {
         let pct = overhead_pct(pairs, 3, |tracing| {
             let config = ExecutorConfig::new(p.mode, p.heap_bytes).tracing(tracing);
             let mut session = ClusterSession::new(2, config);
-            wordcount::run_on(&p, &mut session).expect("fault-free smoke run");
-            session.finish_job();
+            run_job_on(&wordcount::job(&p), &mut session).expect("fault-free smoke run");
         });
         println!(
             "  tracing overhead on fig8 smoke: {pct:+.2}% (best-of-{pairs} interleaved \
@@ -391,8 +393,7 @@ fn main() {
     let trace_events = {
         let p = wc_params(scale, ExecutionMode::Deca);
         let mut session = ClusterSession::new(2, ExecutorConfig::new(p.mode, p.heap_bytes));
-        wordcount::run_on(&p, &mut session).expect("fault-free smoke run");
-        session.finish_job();
+        run_job_on(&wordcount::job(&p), &mut session).expect("fault-free smoke run");
         let trace = session.merged_trace();
         let chrome = trace.to_chrome_string();
         let n = RunTrace::validate_chrome_document(&chrome)
@@ -487,8 +488,8 @@ fn main() {
         const IO_TASKS: usize = 20;
         let wc = wc_params(scale, ExecutionMode::Deca);
         let pr = pr_params(scale, ExecutionMode::Deca);
-        let wc_ref = wordcount::run_local(&wc, WIDTH).checksum;
-        let pr_ref = pagerank::run_local(&pr, WIDTH).checksum;
+        let wc_ref = run_job_local(&wordcount::job(&wc), wordcount::wc_config(&wc), WIDTH).checksum;
+        let pr_ref = run_job_local(&pagerank::job(&pr), pagerank::pr_config(&pr), WIDTH).checksum;
         let io_wait = std::time::Duration::from_millis(2 * base_ms);
         let io_job = move || {
             deca_engine::AppJob::new("io", move |ctx| {

@@ -12,6 +12,7 @@
 
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::report::{gc_reduction, speedup};
+use deca_apps::run_job_local;
 use deca_apps::sql::{self, SqlParams, SqlSystem};
 use deca_apps::wordcount::{self, WcParams};
 use deca_bench::Scale;
@@ -44,7 +45,7 @@ fn main() {
             let mut p = WcParams::small(mode);
             p.words = scale.records(400_000);
             p.distinct = scale.records(50_000);
-            wordcount::run(&p)
+            run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 1)
         };
         let spark = mk(ExecutionMode::Spark);
         let deca = mk(ExecutionMode::Deca);
@@ -72,7 +73,7 @@ fn main() {
             p.iterations = scale.lr_iterations;
             p.heap_bytes = 16 << 20;
             p.storage_fraction = 0.62;
-            logreg::run(&p)
+            run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1)
         };
         // Fitting regime.
         let spark_fit = mk(ExecutionMode::Spark, 30_000);

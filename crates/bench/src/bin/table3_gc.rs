@@ -12,6 +12,7 @@ use deca_apps::kmeans::{self, KmParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::report::{gc_reduction, AppReport};
+use deca_apps::run_job_local;
 use deca_apps::wordcount::{self, WcParams};
 use deca_bench::{secs, table_header, table_row, Scale};
 use deca_engine::ExecutionMode;
@@ -26,21 +27,21 @@ fn main() {
         p.words = scale.records(1_000_000);
         p.distinct = scale.records(150_000);
         p.heap_bytes = 24 << 20;
-        wordcount::run(&p)
+        run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 1)
     };
     let lr = move |mode| {
         let mut p = LrParams::small(mode);
         p.points = scale.records(64_000);
         p.iterations = scale.lr_iterations;
         p.heap_bytes = 16 << 20;
-        logreg::run(&p)
+        run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1)
     };
     let km = move |mode| {
         let mut p = KmParams::small(mode);
         p.points = scale.records(64_000);
         p.iterations = scale.lr_iterations.min(10);
         p.heap_bytes = 16 << 20;
-        kmeans::run(&p)
+        run_job_local(&kmeans::job(&p), kmeans::km_config(&p), 1)
     };
     let pr = move |mode| {
         let mut p = PrParams::small(mode);
@@ -48,14 +49,14 @@ fn main() {
         p.edges = scale.records(250_000);
         p.iterations = scale.graph_iterations;
         p.heap_bytes = 32 << 20;
-        pagerank::run(&p)
+        run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1)
     };
     let cc = move |mode| {
         let mut p = CcParams::small(mode);
         p.vertices = scale.records(24_000);
         p.edges = scale.records(250_000);
         p.heap_bytes = 32 << 20;
-        concomp::run(&p)
+        run_job_local(&concomp::job(&p), concomp::cc_config(&p), 1)
     };
 
     type Runner = Box<dyn Fn(ExecutionMode) -> AppReport>;

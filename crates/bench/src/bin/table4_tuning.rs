@@ -15,6 +15,7 @@
 
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
+use deca_apps::run_job_local;
 use deca_bench::{secs, table_header, table_row, Scale};
 use deca_engine::ExecutionMode;
 use deca_heap::{GcAlgorithm, GcPlanKind};
@@ -33,7 +34,7 @@ fn main() {
         p.heap_bytes = 24 << 20;
         p.storage_fraction = storage;
         p.gc_algorithm = algo;
-        logreg::run(&p)
+        run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1)
     };
     for &(frac, label) in &[(0.8, "0.8:0.2"), (0.6, "0.6:0.4"), (0.4, "0.4:0.6")] {
         let r = lr(frac, GcAlgorithm::ParallelScavenge, ExecutionMode::Spark);
@@ -57,7 +58,7 @@ fn main() {
         p.heap_bytes = 32 << 20;
         p.storage_fraction = storage;
         p.gc_algorithm = algo;
-        pagerank::run(&p)
+        run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1)
     };
     for &(frac, label) in &[(0.4, "0.4"), (0.1, "0.1"), (0.05, "0.05")] {
         let r = pr(frac, GcAlgorithm::ParallelScavenge, ExecutionMode::Spark);

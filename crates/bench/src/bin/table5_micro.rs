@@ -16,6 +16,7 @@ use std::time::Instant;
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::records::LabeledPointRec;
+use deca_apps::run_job_local;
 use deca_bench::{secs, table_header, table_row, Scale};
 use deca_core::DecaRecord;
 use deca_engine::{ExecutionMode, KryoSim};
@@ -34,7 +35,7 @@ fn main() {
         p.iterations = scale.lr_iterations;
         p.heap_bytes = heap_bytes;
         p.storage_fraction = 0.65;
-        logreg::run(&p)
+        run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1)
     };
     for (heap_bytes, label) in [(14 << 20, "small"), (64 << 20, "large")] {
         let spark = lr(heap_bytes, ExecutionMode::Spark);
@@ -65,7 +66,7 @@ fn main() {
         p.edges = scale.records(300_000);
         p.iterations = scale.graph_iterations;
         p.heap_bytes = heap_bytes;
-        pagerank::run(&p)
+        run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1)
     };
     for (heap_bytes, label) in [(12 << 20, "small"), (64 << 20, "large")] {
         let spark = pr(heap_bytes, ExecutionMode::Spark);

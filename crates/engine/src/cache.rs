@@ -178,7 +178,11 @@ pub(crate) fn store_object_array<T: Record>(
     let arr = heap.alloc_array(arr_class, recs.len())?;
     let root = heap.add_root(arr);
     for (i, rec) in recs.iter().enumerate() {
-        let obj = rec.store(heap, classes)?;
+        // An OOM drops the partial array: the caller's retry (or the
+        // driver's spill-and-rerun) must not find it still rooted.
+        let obj = rec.store(heap, classes).inspect_err(|_| {
+            heap.remove_root(root);
+        })?;
         let arr = heap.root_ref(root);
         heap.array_set_ref(arr, i, obj);
     }
@@ -1573,20 +1577,6 @@ pub struct CacheStats {
     pub spill_read_bytes: u64,
 }
 
-/// A cached RDD handle: the block ids of its partitions on one executor.
-#[derive(Debug, Default)]
-pub struct CachedRdd<T> {
-    pub name: String,
-    pub blocks: Vec<BlockId>,
-    _t: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T> CachedRdd<T> {
-    pub fn new(name: impl Into<String>) -> CachedRdd<T> {
-        CachedRdd { name: name.into(), blocks: Vec::new(), _t: std::marker::PhantomData }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1608,6 +1598,20 @@ mod tests {
             MemoryManager::new(16 << 10, dir),
             cm,
         )
+    }
+
+    #[test]
+    fn failed_object_put_leaves_no_partial_block_rooted() {
+        // 100k boxed longs (about 3 MB with their array) on a 2 MB heap:
+        // the put, and its retry after evicting and collecting, runs out
+        // of heap part-way through filling the array.
+        let (mut heap, mut kryo, mut mm, mut cm) = setup(2 << 20, 64 << 20);
+        let classes = <i64 as HeapRecord>::register(&mut heap);
+        let recs: Vec<i64> = (0..100_000).collect();
+        let roots = heap.root_count();
+        let put = cm.put_objects(&mut heap, &mut kryo, &mut mm, &classes, &recs);
+        assert!(matches!(put, Err(CacheError::Oom(_))), "the heap was sized to overflow");
+        assert_eq!(heap.root_count(), roots, "a failed put must not pin its partial array");
     }
 
     #[test]

@@ -15,9 +15,10 @@ use std::time::{Duration, Instant};
 use deca_core::{MemoryManager, PageRun, ShuffleArena, ShufflePayload};
 use deca_heap::{Heap, HeapConfig};
 
-use crate::cache::CacheManager;
-use crate::config::ExecutorConfig;
+use crate::cache::{BlockId, CacheError, CacheManager};
+use crate::config::{ExecutionMode, ExecutorConfig};
 use crate::metrics::{GcAccounting, JobMetrics, TaskMetrics, Timeline};
+use crate::record::Record;
 use crate::serde_sim::KryoSim;
 use crate::trace::{dur_ns, TraceEventKind, TraceRecorder};
 
@@ -144,7 +145,12 @@ impl Executor {
     ) -> R {
         self.trace.set_context(stage, task, attempt);
         self.cache.set_fault_ctx(stage, task, attempt);
+        let stack = self.heap.stack_watermark();
         let r = self.run_task(name, f);
+        // Stack roots are the attempt's locals: drop any that an early
+        // error return left pushed, so a retry or an OOM re-run starts
+        // with nothing of the failed attempt rooted.
+        self.heap.truncate_stack(stack);
         self.cache.clear_fault_ctx();
         self.trace.clear_context();
         r
@@ -437,6 +443,45 @@ impl Executor {
         self.timeline.record(at, live, gc);
     }
 
+    /// Cache `recs` as one block in `mode`'s representation: heap objects
+    /// (Spark), one serialized byte array (SparkSer), or decomposed pages
+    /// (Deca). A Deca block uses unframed fixed-size segments when the
+    /// optimizer proved the record an SFST of `sfst_size` bytes, framed
+    /// segments otherwise. `mode` is the job's, which on a shared server
+    /// need not be this executor's configured mode.
+    ///
+    /// ```
+    /// use deca_engine::{ExecutionMode, Executor, ExecutorConfig, HeapRecord};
+    ///
+    /// let data: Vec<(f64, i64)> = (0..1000).map(|i| (i as f64, i)).collect();
+    /// for mode in ExecutionMode::ALL {
+    ///     let mut e = Executor::new(ExecutorConfig::new(mode, 16 << 20));
+    ///     let classes = <(f64, i64) as HeapRecord>::register(&mut e.heap);
+    ///     let block = e.cache_put(mode, &classes, &data, None).unwrap();
+    ///     assert_eq!(e.cache.block_len(block), 1000);
+    ///     e.cache.release(block, &mut e.heap, &mut e.mm);
+    /// }
+    /// ```
+    pub fn cache_put<T: Record + 'static>(
+        &mut self,
+        mode: ExecutionMode,
+        classes: &T::Classes,
+        recs: &[T],
+        sfst_size: Option<usize>,
+    ) -> Result<BlockId, CacheError>
+    where
+        T::Classes: 'static,
+    {
+        let (cache, heap, kryo, mm) =
+            (&mut self.cache, &mut self.heap, &mut self.kryo, &mut self.mm);
+        match (mode, sfst_size) {
+            (ExecutionMode::Spark, _) => cache.put_objects(heap, kryo, mm, classes, recs),
+            (ExecutionMode::SparkSer, _) => cache.put_serialized(heap, kryo, mm, recs),
+            (ExecutionMode::Deca, Some(size)) => cache.put_deca_sfst(heap, mm, recs, size),
+            (ExecutionMode::Deca, None) => cache.put_deca(heap, mm, recs),
+        }
+    }
+
     /// Release every cache block stamped with `job` (the job service's
     /// end-of-job cleanup: shared long-lived executors must not
     /// accumulate finished jobs' cache state).
@@ -507,11 +552,82 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecutionMode;
+    use crate::record::HeapRecord;
     use deca_heap::{ClassBuilder, FieldKind};
 
     fn exec() -> Executor {
         Executor::new(ExecutorConfig::new(ExecutionMode::Spark, 4 << 20))
+    }
+
+    /// Read a block back through `mode`'s access path: heap object
+    /// loads, deserialization, or decoding page bytes.
+    fn scan<T: Record + 'static>(
+        e: &mut Executor,
+        mode: ExecutionMode,
+        classes: &T::Classes,
+        block: BlockId,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        match mode {
+            ExecutionMode::Spark => {
+                let (root, len) =
+                    e.cache.objects_root(block, &mut e.heap, &mut e.kryo, &mut e.mm).unwrap();
+                for i in 0..len {
+                    let obj = e.heap.array_get_ref(e.heap.root_ref(root), i);
+                    out.push(T::load(&e.heap, classes, obj));
+                }
+            }
+            ExecutionMode::SparkSer => e
+                .cache
+                .iter_serialized(block, &mut e.heap, &mut e.kryo, &mut e.mm, |r| out.push(r))
+                .unwrap(),
+            ExecutionMode::Deca => {
+                let (heap, mm) = (&mut e.heap, &mut e.mm);
+                e.cache.deca_block(block).scan_bytes(mm, heap, T::decode, |r| out.push(r)).unwrap()
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cache_put_round_trips_in_every_mode() {
+        let data: Vec<(f64, i64)> = (0..5_000).map(|i| (i as f64 * 0.5, i)).collect();
+        for mode in ExecutionMode::ALL {
+            for sfst_size in [None, Some(16)] {
+                let mut e = Executor::new(ExecutorConfig::new(mode, 16 << 20));
+                let classes = <(f64, i64) as HeapRecord>::register(&mut e.heap);
+                let mut back: Vec<(f64, i64)> = Vec::new();
+                for chunk in data.chunks(1_250) {
+                    let block = e.cache_put(mode, &classes, chunk, sfst_size).unwrap();
+                    assert_eq!(e.cache.block_len(block), chunk.len());
+                    back.extend(scan::<(f64, i64)>(&mut e, mode, &classes, block));
+                }
+                assert_eq!(back, data, "{mode}, sfst {sfst_size:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cache_put_round_trips_rfst_records() {
+        let data: Vec<(i64, Vec<f64>)> =
+            (0..500).map(|i| (i, vec![i as f64; (i % 5) as usize])).collect();
+        for mode in ExecutionMode::ALL {
+            let mut e = Executor::new(ExecutorConfig::new(mode, 16 << 20));
+            let classes = <(i64, Vec<f64>) as HeapRecord>::register(&mut e.heap);
+            let block = e.cache_put(mode, &classes, &data, None).unwrap();
+            assert_eq!(scan::<(i64, Vec<f64>)>(&mut e, mode, &classes, block), data, "{mode}");
+        }
+    }
+
+    #[test]
+    fn released_deca_put_frees_its_pages() {
+        let mut e = Executor::new(ExecutorConfig::new(ExecutionMode::Deca, 16 << 20));
+        let data: Vec<(f64, i64)> = (0..2_000).map(|i| (i as f64, i)).collect();
+        let classes = <(f64, i64) as HeapRecord>::register(&mut e.heap);
+        let block = e.cache_put(ExecutionMode::Deca, &classes, &data, None).unwrap();
+        assert!(e.heap.external_bytes() > 0);
+        e.cache.release(block, &mut e.heap, &mut e.mm);
+        assert_eq!(e.heap.external_bytes(), 0);
     }
 
     #[test]

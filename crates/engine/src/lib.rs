@@ -38,12 +38,11 @@ pub mod metrics;
 pub mod record;
 pub mod serde_sim;
 pub mod server;
-pub mod session;
 pub mod shuffle;
 mod stage;
 pub mod trace;
 
-pub use cache::{CacheError, CacheStats, CachedRdd, RehydrateOutcome, Tier};
+pub use cache::{CacheError, CacheStats, RehydrateOutcome, Tier};
 pub use cluster::{ExecutorHealth, LocalCluster};
 pub use config::{
     ExecutionMode, ExecutorConfig, ExecutorConfigBuilder, RetryPolicy, SchedulerMode, ServerConfig,
@@ -56,6 +55,5 @@ pub use metrics::{GcAccounting, JobMetrics, StageMetrics, TaskMetrics, Timeline,
 pub use record::{HeapRecord, KryoRecord, Record};
 pub use serde_sim::KryoSim;
 pub use server::{AppJob, DecaServer, JobCtx, JobHandle, JobOutput, JobSpec};
-pub use session::{Cached, DecaSession};
 pub use shuffle::{SparkGroupShuffle, SparkHashShuffle};
 pub use trace::{RunTrace, TraceEvent, TraceEventKind, TraceRecorder};

@@ -6,13 +6,11 @@
 //!
 //! The paper's deployment target is a long-lived cluster service (§6.1
 //! runs Deca inside Spark's executor processes, which serve many jobs over
-//! their lifetime), while this repo historically grew one
-//! `run`/`run_cluster`/`run_cluster_faulty`/`run_text_cluster` entry point
-//! per app — each spinning up and tearing down a private cluster.
-//! [`DecaServer`] replaces that sprawl: apps describe themselves once as
-//! an [`AppJob`] (a body over the [`JobCtx`] stage API), and every
-//! harness — single-shot CLI runs, the fault matrix, the concurrency
-//! soak — submits the same description with a different [`JobSpec`].
+//! their lifetime). Apps describe themselves once as an [`AppJob`] (a body
+//! over the [`JobCtx`] stage API). [`DecaServer`] runs that description
+//! for many concurrent jobs, each with its own [`JobSpec`]; a private
+//! [`ClusterSession`] runs the same description standalone through
+//! [`JobCtx::local`].
 //!
 //! ## Execution model
 //!
@@ -87,8 +85,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What an app submits: a name and a body that drives stages through a
 /// [`JobCtx`] and returns the job's checksum. The same description runs
 /// on a [`DecaServer`] (via [`JobSpec::app`]) or standalone (via
-/// [`JobCtx::local`] over a [`ClusterSession`] — the apps' `run_local`
-/// shims).
+/// [`JobCtx::local`] over a [`ClusterSession`]).
 #[derive(Clone)]
 pub struct AppJob {
     name: String,
@@ -130,7 +127,7 @@ pub struct JobCtx<'a> {
 }
 
 impl<'a> JobCtx<'a> {
-    /// A context over a standalone session (the apps' `run_local` path).
+    /// A context over a standalone session.
     pub fn local(session: &'a mut ClusterSession) -> JobCtx<'a> {
         let (engine, backend) = session.parts();
         JobCtx { engine, backend, noted_cache_bytes: 0 }

@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example cluster_session`
 
-use deca_apps::wordcount::{run_local, WcParams};
+use deca_apps::run_job_local;
+use deca_apps::wordcount::{job, wc_config, WcParams};
 use deca_engine::{ClusterSession, ExecutionMode, ExecutorConfig};
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
     let params = WcParams::small(ExecutionMode::Deca);
     let mut reference = None;
     for executors in [1usize, 2, 4] {
-        let report = run_local(&params, executors);
+        let report = run_job_local(&job(&params), wc_config(&params), executors);
         let expected = *reference.get_or_insert(report.checksum);
         assert_eq!(report.checksum, expected, "width must not change the answer");
         println!(

@@ -5,6 +5,7 @@
 //! the README's "Job service" snippet — keep the two in sync.
 
 use deca_apps::pagerank::{self, PrParams};
+use deca_apps::run_job_local;
 use deca_apps::wordcount::{self, WcParams};
 use deca_engine::{AppJob, DecaServer, ExecutionMode, ExecutorConfig, JobSpec};
 
@@ -44,7 +45,7 @@ fn main() {
     }
 
     // Results are bit-identical to a standalone run at the same width.
-    let reference = wordcount::run_local(&wc, 4).checksum;
+    let reference = run_job_local(&wordcount::job(&wc), wordcount::wc_config(&wc), 4).checksum;
     let served = server
         .submit(JobSpec::new("etl").executors(4).app(wordcount::job(&wc)))
         .expect("admitted")

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example logistic_regression`
 
-use deca_apps::logreg::{run, LrParams};
+use deca_apps::logreg::{job, lr_config, LrParams};
 use deca_apps::report::{gc_reduction, speedup};
+use deca_apps::run_job_local;
 use deca_engine::ExecutionMode;
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     for mode in ExecutionMode::ALL {
         let mut p = params.clone();
         p.mode = mode;
-        let r = run(&p);
+        let r = run_job_local(&job(&p), lr_config(&p), 1);
         println!("{}", r.line());
         reports.push(r);
     }

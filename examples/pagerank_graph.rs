@@ -3,8 +3,9 @@
 //!
 //! Run with: `cargo run --release --example pagerank_graph`
 
-use deca_apps::pagerank::{run, PrParams};
+use deca_apps::pagerank::{job, pr_config, PrParams};
 use deca_apps::report::speedup;
+use deca_apps::run_job_local;
 use deca_engine::ExecutionMode;
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
     for mode in ExecutionMode::ALL {
         let mut p = params.clone();
         p.mode = mode;
-        let r = run(&p);
+        let r = run_job_local(&job(&p), pr_config(&p), 1);
         println!("{}", r.line());
         reports.push(r);
     }

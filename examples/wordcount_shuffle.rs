@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example wordcount_shuffle`
 
-use deca_apps::wordcount::{run, WcParams};
+use deca_apps::run_job_local;
+use deca_apps::wordcount::{job, wc_config, WcParams};
 use deca_engine::ExecutionMode;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
     for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
         let mut p = params.clone();
         p.mode = mode;
-        let r = run(&p);
+        let r = run_job_local(&job(&p), wc_config(&p), 1);
         println!("{}", r.line());
         println!("  Tuple2 lifetime samples (time ms, live objects, cum. GC ms):");
         for s in r.timeline.samples.iter().step_by(4).take(8) {

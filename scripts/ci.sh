@@ -150,8 +150,12 @@ for sched in wave pull; do
   done
 done
 
-echo "== bench smoke (fig8 wordcount, tiny scale) =="
+echo "== bench smoke (fig8 wordcount, fig10 CC, table3 GC; tiny scale) =="
+# Each binary asserts its cross-mode checksums; CC and table3 cover the
+# graph apps' shared adjacency cache and message shuffle end to end.
 DECA_BENCH_SCALE=0.05 cargo run --release --offline -q -p deca-bench --bin fig8_wordcount
+DECA_BENCH_SCALE=0.05 cargo run --release --offline -q -p deca-bench --bin fig10_graphs -- --app cc
+DECA_BENCH_SCALE=0.05 cargo run --release --offline -q -p deca-bench --bin table3_gc
 
 echo "== observability (trace export + lossless chrome round-trip) =="
 cargo run --release --offline -q --example trace_export

@@ -1,15 +1,18 @@
-//! Cluster-mode cross-mode equivalence: the same WordCount and PageRank
-//! jobs through [`deca_engine::ClusterSession`] produce identical results
-//! in Spark, SparkSer, and Deca mode, independent of executor count.
+//! Cluster-mode cross-mode equivalence: the same WordCount, PageRank,
+//! LR and ConnectedComponents jobs through [`deca_engine::ClusterSession`]
+//! produce identical results in Spark, SparkSer, and Deca mode,
+//! independent of executor count.
 //!
 //! The driver makes this a hard guarantee, not a tolerance: tasks are
 //! pinned to executors round-robin by task index and the exchange hands
 //! reduce tasks their inputs in map-task order, so the floating-point
 //! addition sequence per key is a function of the partitioning alone.
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::logreg::{self, LrParams};
 use deca_apps::pagerank::{self, PrParams};
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_local, run_job_on, AppReport};
 use deca_engine::{ClusterSession, ExecutionMode, ExecutorConfig, SchedulerMode, TraceEventKind};
 
 const EXECUTOR_COUNTS: [usize; 3] = [1, 2, 4];
@@ -40,16 +43,31 @@ fn pr_params(mode: ExecutionMode) -> PrParams {
     }
 }
 
+fn wc_report(mode: ExecutionMode, executors: usize) -> AppReport {
+    let p = wc_params(mode);
+    run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), executors)
+}
+
+fn text_report(mode: ExecutionMode, executors: usize) -> AppReport {
+    let p = wc_params(mode);
+    run_job_local(&wordcount::text_job(&p), wordcount::wc_config(&p), executors)
+}
+
+fn pr_report(mode: ExecutionMode, executors: usize) -> AppReport {
+    let p = pr_params(mode);
+    run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), executors)
+}
+
 #[test]
 fn wordcount_is_identical_across_modes_and_widths() {
     // Word checksums are integer-valued f64 sums (< 2^53): exact under
     // any addition order, so every cell of the mode × width matrix must
     // be bit-identical.
-    let reference = wordcount::run_local(&wc_params(ExecutionMode::Spark), 1).checksum;
+    let reference = wc_report(ExecutionMode::Spark, 1).checksum;
     assert!(reference > 0.0);
     for mode in ExecutionMode::ALL {
         for executors in EXECUTOR_COUNTS {
-            let report = wordcount::run_local(&wc_params(mode), executors);
+            let report = wc_report(mode, executors);
             assert_eq!(report.checksum, reference, "{mode} on {executors} executors");
             assert_eq!(report.mode, mode);
         }
@@ -58,11 +76,11 @@ fn wordcount_is_identical_across_modes_and_widths() {
 
 #[test]
 fn text_wordcount_is_identical_across_modes_and_widths() {
-    let reference = wordcount::run_text_local(&wc_params(ExecutionMode::Deca), 1).checksum;
+    let reference = text_report(ExecutionMode::Deca, 1).checksum;
     assert!(reference > 0.0);
     for mode in ExecutionMode::ALL {
         for executors in EXECUTOR_COUNTS {
-            let report = wordcount::run_text_local(&wc_params(mode), executors);
+            let report = text_report(mode, executors);
             assert_eq!(report.checksum, reference, "{mode} on {executors} executors");
         }
     }
@@ -73,10 +91,10 @@ fn pagerank_is_bit_identical_across_widths_per_mode() {
     // f64 rank sums are order-sensitive; the driver's fixed task model
     // must make the executor count invisible bit-for-bit.
     for mode in ExecutionMode::ALL {
-        let reference = pagerank::run_local(&pr_params(mode), 1).checksum;
+        let reference = pr_report(mode, 1).checksum;
         assert!(reference > 0.0);
         for executors in EXECUTOR_COUNTS {
-            let report = pagerank::run_local(&pr_params(mode), executors);
+            let report = pr_report(mode, executors);
             assert_eq!(report.checksum, reference, "{mode} on {executors} executors");
         }
     }
@@ -92,15 +110,20 @@ fn lr_params(mode: ExecutionMode) -> LrParams {
     p
 }
 
+fn lr_report(mode: ExecutionMode, executors: usize) -> AppReport {
+    let p = lr_params(mode);
+    run_job_local(&logreg::job(&p), logreg::lr_config(&p), executors)
+}
+
 #[test]
 fn logreg_is_bit_identical_across_widths_per_mode() {
     // LR sums per-task partial gradients in task order, so — like
     // PageRank — the executor count must be invisible bit-for-bit.
     for mode in ExecutionMode::ALL {
-        let reference = logreg::run_local(&lr_params(mode), 1).checksum;
+        let reference = lr_report(mode, 1).checksum;
         assert!(reference.is_finite() && reference > 0.0);
         for executors in EXECUTOR_COUNTS {
-            let report = logreg::run_local(&lr_params(mode), executors);
+            let report = lr_report(mode, executors);
             assert_eq!(report.checksum, reference, "{mode} on {executors} executors");
         }
     }
@@ -109,9 +132,9 @@ fn logreg_is_bit_identical_across_widths_per_mode() {
 #[test]
 fn logreg_modes_agree_at_every_width() {
     for executors in EXECUTOR_COUNTS {
-        let spark = logreg::run_local(&lr_params(ExecutionMode::Spark), executors).checksum;
-        let ser = logreg::run_local(&lr_params(ExecutionMode::SparkSer), executors).checksum;
-        let deca = logreg::run_local(&lr_params(ExecutionMode::Deca), executors).checksum;
+        let spark = lr_report(ExecutionMode::Spark, executors).checksum;
+        let ser = lr_report(ExecutionMode::SparkSer, executors).checksum;
+        let deca = lr_report(ExecutionMode::Deca, executors).checksum;
         assert!((spark - deca).abs() < 1e-12, "{executors} executors: {spark} vs {deca}");
         assert!((ser - deca).abs() < 1e-12, "{executors} executors: {ser} vs {deca}");
     }
@@ -120,11 +143,43 @@ fn logreg_modes_agree_at_every_width() {
 #[test]
 fn pagerank_modes_agree_at_every_width() {
     for executors in EXECUTOR_COUNTS {
-        let spark = pagerank::run_local(&pr_params(ExecutionMode::Spark), executors).checksum;
-        let ser = pagerank::run_local(&pr_params(ExecutionMode::SparkSer), executors).checksum;
-        let deca = pagerank::run_local(&pr_params(ExecutionMode::Deca), executors).checksum;
+        let spark = pr_report(ExecutionMode::Spark, executors).checksum;
+        let ser = pr_report(ExecutionMode::SparkSer, executors).checksum;
+        let deca = pr_report(ExecutionMode::Deca, executors).checksum;
         assert!((spark - deca).abs() < 1e-9, "{executors} executors: {spark} vs {deca}");
         assert!((ser - deca).abs() < 1e-9, "{executors} executors: {ser} vs {deca}");
+    }
+}
+
+fn cc_params(mode: ExecutionMode) -> CcParams {
+    CcParams {
+        vertices: 600,
+        edges: 3_000,
+        max_iterations: 10,
+        partitions: 4,
+        heap_bytes: 24 << 20,
+        mode,
+        storage_fraction: 0.4,
+        seed: 9,
+    }
+}
+
+#[test]
+fn connected_components_are_identical_across_modes_and_widths() {
+    // Labels combine with `min`, exact under any order: every cell of the
+    // mode x width matrix must match the 1-executor Deca run bit for bit.
+    let cc_report = |mode, executors| {
+        let p = cc_params(mode);
+        run_job_local(&concomp::job(&p), concomp::cc_config(&p), executors)
+    };
+    let reference = cc_report(ExecutionMode::Deca, 1).checksum;
+    assert!(reference > 0.0);
+    for mode in ExecutionMode::ALL {
+        for executors in EXECUTOR_COUNTS {
+            let report = cc_report(mode, executors);
+            assert_eq!(report.checksum, reference, "{mode} on {executors} executors");
+            assert_eq!(report.mode, mode);
+        }
     }
 }
 
@@ -141,8 +196,8 @@ fn pull_scheduler_matches_wave_bit_for_bit_at_every_mode_and_width() {
             let run_wc = |sched: SchedulerMode| {
                 let mut session =
                     ClusterSession::new(executors, wordcount::wc_config(&p).scheduler(sched));
-                let checksum = wordcount::run_on(&p, &mut session).expect("wordcount job");
-                session.finish_job();
+                let (checksum, _) =
+                    run_job_on(&wordcount::job(&p), &mut session).expect("wordcount job");
                 let steals = session
                     .merged_trace()
                     .events
@@ -161,7 +216,8 @@ fn pull_scheduler_matches_wave_bit_for_bit_at_every_mode_and_width() {
             let run_pr = |sched: SchedulerMode| {
                 let mut session =
                     ClusterSession::new(executors, pagerank::pr_config(&pr).scheduler(sched));
-                let (checksum, _) = pagerank::run_on(&pr, &mut session).expect("pagerank job");
+                let (checksum, _) =
+                    run_job_on(&pagerank::job(&pr), &mut session).expect("pagerank job");
                 (checksum, session.job_summary().attempts)
             };
             let (wave, wave_attempts) = run_pr(SchedulerMode::Wave);
@@ -192,14 +248,15 @@ fn heterogeneous_heaps_do_not_change_results() {
     }
     for mode in ExecutionMode::ALL {
         let p = wc_params(mode);
-        let uniform = wordcount::run_local(&p, 2).checksum;
+        let uniform = run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 2).checksum;
 
         let mut session = ClusterSession::with_configs(mixed_configs(mode, &[24 << 20, 8 << 20]));
-        let mixed = wordcount::run_on(&p, &mut session).expect("wordcount on mixed heaps");
+        let (mixed, _) =
+            run_job_on(&wordcount::job(&p), &mut session).expect("wordcount on mixed heaps");
         assert_eq!(mixed, uniform, "{mode}: mixed 24MB/8MB heaps changed the checksum");
 
         let pr = pr_params(mode);
-        let pr_uniform = pagerank::run_local(&pr, 2).checksum;
+        let pr_uniform = run_job_local(&pagerank::job(&pr), pagerank::pr_config(&pr), 2).checksum;
         let mut session = ClusterSession::with_configs(
             [32 << 20, 12 << 20]
                 .iter()
@@ -213,7 +270,8 @@ fn heterogeneous_heaps_do_not_change_results() {
                 })
                 .collect(),
         );
-        let (pr_mixed, _) = pagerank::run_on(&pr, &mut session).expect("pagerank on mixed heaps");
+        let (pr_mixed, _) =
+            run_job_on(&pagerank::job(&pr), &mut session).expect("pagerank on mixed heaps");
         assert_eq!(pr_mixed, pr_uniform, "{mode}: mixed 32MB/12MB heaps changed the ranks");
     }
 }
@@ -224,7 +282,7 @@ fn merged_timeline_spans_executors() {
     // executors; the cluster report merges the per-executor timelines.
     let mut p = wc_params(ExecutionMode::Spark);
     p.sample_every = 500;
-    let report = wordcount::run_local(&p, 2);
+    let report = run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 2);
     assert!(!report.timeline.samples.is_empty());
     assert!(report.timeline.peak_live() > 0, "temporary tuples were observed live");
     assert!(report.slowest_task.is_some());

@@ -5,6 +5,7 @@
 
 mod util;
 
+use deca_apps::run_job_local;
 use deca_apps::{concomp, kmeans, logreg, pagerank, sql, wordcount};
 use deca_engine::ExecutionMode;
 
@@ -18,7 +19,7 @@ fn wordcount_checksums_agree() {
         let mut p = wordcount::WcParams::small(mode);
         p.words = 30_000;
         p.distinct = 700;
-        results.push(wordcount::run(&p).checksum);
+        results.push(run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 1).checksum);
     }
     assert_eq!(results[0], results[1]);
     td.cleanup();
@@ -32,7 +33,7 @@ fn logreg_weights_agree_across_modes() {
         let mut p = logreg::LrParams::small(mode);
         p.points = 4_000;
         p.iterations = 4;
-        results.push(logreg::run(&p).checksum);
+        results.push(run_job_local(&logreg::job(&p), logreg::lr_config(&p), 1).checksum);
     }
     assert!((results[0] - results[1]).abs() < 1e-12);
     assert!((results[1] - results[2]).abs() < 1e-12);
@@ -47,7 +48,7 @@ fn kmeans_centroids_agree_across_modes() {
         let mut p = kmeans::KmParams::small(mode);
         p.points = 4_000;
         p.iterations = 3;
-        results.push(kmeans::run(&p).checksum);
+        results.push(run_job_local(&kmeans::job(&p), kmeans::km_config(&p), 1).checksum);
     }
     assert!((results[0] - results[1]).abs() < 1e-9);
     assert!((results[1] - results[2]).abs() < 1e-9);
@@ -63,7 +64,7 @@ fn pagerank_ranks_agree_across_modes() {
         p.vertices = 800;
         p.edges = 6_000;
         p.iterations = 3;
-        results.push(pagerank::run(&p).checksum);
+        results.push(run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1).checksum);
     }
     assert!((results[0] - results[1]).abs() < 1e-9);
     assert!((results[1] - results[2]).abs() < 1e-9);
@@ -78,7 +79,7 @@ fn connected_components_agree_across_modes() {
         let mut p = concomp::CcParams::small(mode);
         p.vertices = 600;
         p.edges = 3_000;
-        results.push(concomp::run(&p).checksum);
+        results.push(run_job_local(&concomp::job(&p), concomp::cc_config(&p), 1).checksum);
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[1], results[2]);

@@ -9,9 +9,10 @@
 //! every scenario here replays exactly; `scripts/ci.sh` prints the seed
 //! line to re-run a failing scenario locally.
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::pagerank::{self, PrParams};
-use deca_apps::run_job_faulty;
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_faulty, run_job_local, run_job_on};
 use std::time::Duration;
 
 use deca_engine::{
@@ -115,6 +116,17 @@ fn pr_params(mode: ExecutionMode) -> PrParams {
     }
 }
 
+/// The fault-free checksums the matrices compare against.
+fn wc_reference(mode: ExecutionMode, executors: usize) -> f64 {
+    let p = wc_params(mode);
+    run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), executors).checksum
+}
+
+fn pr_reference(mode: ExecutionMode) -> f64 {
+    let p = pr_params(mode);
+    run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1).checksum
+}
+
 /// Does the plan draw `site` at attempt 0 anywhere in these stages?
 /// (Attempt-0 draws are the only ones a `repeat_on_retry: false` plan
 /// makes.)
@@ -136,7 +148,7 @@ fn wordcount_under_faults_is_bit_identical_across_modes_and_widths() {
         let plan = FaultPlan::seeded(seed, storm());
         let crashes = crashes_somewhere(&plan, &[("wc-map", 4), ("wc-reduce", 4)]);
         for mode in ExecutionMode::ALL {
-            let reference = wordcount::run_local(&wc_params(mode), 1).checksum;
+            let reference = wc_reference(mode, 1);
             for executors in EXECUTOR_COUNTS {
                 let p = wc_params(mode);
                 let report = run_job_faulty(
@@ -193,7 +205,7 @@ fn pagerank_under_faults_is_bit_identical_across_modes_and_widths() {
     for seed in seeds {
         let plan = FaultPlan::seeded(seed, storm());
         for mode in ExecutionMode::ALL {
-            let reference = pagerank::run_local(&pr_params(mode), 1).checksum;
+            let reference = pr_reference(mode);
             for executors in EXECUTOR_COUNTS {
                 let p = pr_params(mode);
                 let report = run_job_faulty(
@@ -231,6 +243,37 @@ fn pagerank_under_faults_is_bit_identical_across_modes_and_widths() {
     }
 }
 
+#[test]
+fn connected_components_under_faults_keep_the_fault_free_labels() {
+    // CC rides the same adjacency cache and message shuffle as PageRank,
+    // so a storm's crashes, frame corruptions and OOMs must leave its
+    // labels exactly as the fault-free run computes them.
+    let (seeds, pinned) = fault_seeds();
+    for seed in seeds {
+        for mode in ExecutionMode::ALL {
+            let p = CcParams {
+                vertices: 400,
+                edges: 2_000,
+                max_iterations: 10,
+                partitions: 4,
+                heap_bytes: 24 << 20,
+                mode,
+                storage_fraction: 0.4,
+                seed: 9,
+            };
+            let (job, config) = (concomp::job(&p), concomp::cc_config(&p));
+            let reference = run_job_local(&job, config.clone(), 1).checksum;
+            let plan = FaultPlan::seeded(seed, storm());
+            let report = run_job_faulty(&job, config, 2, plan, Some(matrix_policy()))
+                .unwrap_or_else(|e| panic!("seed {seed}, {mode}: survivable plan died: {e}"));
+            assert_eq!(report.checksum, reference, "seed {seed}, {mode}: labels drifted");
+            if pinned {
+                assert!(report.metrics.retries > 0, "seed {seed}, {mode}: nothing retried");
+            }
+        }
+    }
+}
+
 /// The recovery counters that must be scheduler-invariant: fault pinning
 /// keeps every injected failure on its statically assigned executor, so
 /// Wave and Pull charge identical recovery work, not just identical
@@ -256,10 +299,10 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         wordcount::wc_config(&p).retry(matrix_policy()).scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let checksum = wordcount::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: WC died: {e}")
-                    });
-                    session.finish_job();
+                    let (checksum, _) = run_job_on(&wordcount::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: WC died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = wc(SchedulerMode::Wave);
@@ -281,9 +324,10 @@ fn scheduler_modes_are_equivalent_under_faults() {
                         pagerank::pr_config(&p).retry(matrix_policy()).scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let (checksum, _) = pagerank::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: PR died: {e}")
-                    });
+                    let (checksum, _) = run_job_on(&pagerank::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: PR died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = pr(SchedulerMode::Wave);
@@ -318,8 +362,8 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
         let wc_hangs =
             fires_somewhere(&plan, FaultSite::TaskHang, &[("wc-map", 4), ("wc-reduce", 4)]);
         for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
-            let wc_reference = wordcount::run_local(&wc_params(mode), 1).checksum;
-            let pr_reference = pagerank::run_local(&pr_params(mode), 1).checksum;
+            let wc_reference = wc_reference(mode, 1);
+            let pr_reference = pr_reference(mode);
             for executors in EXECUTOR_COUNTS {
                 let wc = |sched: SchedulerMode| {
                     let p = wc_params(mode);
@@ -330,10 +374,10 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                             .scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let checksum = wordcount::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: hung WC died: {e}")
-                    });
-                    session.finish_job();
+                    let (checksum, _) = run_job_on(&wordcount::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: hung WC died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = wc(SchedulerMode::Wave);
@@ -379,9 +423,10 @@ fn hang_matrix_watchdog_never_stalls_and_is_scheduler_invariant() {
                             .scheduler(sched),
                     );
                     session.install_faults(plan.clone());
-                    let (checksum, _) = pagerank::run_on(&p, &mut session).unwrap_or_else(|e| {
-                        panic!("seed {seed}, {mode}, {executors}x, {sched}: hung PR died: {e}")
-                    });
+                    let (checksum, _) = run_job_on(&pagerank::job(&p), &mut session)
+                        .unwrap_or_else(|e| {
+                            panic!("seed {seed}, {mode}, {executors}x, {sched}: hung PR died: {e}")
+                        });
                     (checksum, session.job_summary())
                 };
                 let (wave_sum, wave) = pr(SchedulerMode::Wave);
@@ -414,7 +459,7 @@ fn forced_oom_degrades_gracefully_and_keeps_the_answer() {
     // executor's cache, collects, and re-runs the task in place — no
     // retry charged, same checksum.
     for mode in ExecutionMode::ALL {
-        let reference = wordcount::run_local(&wc_params(mode), 2).checksum;
+        let reference = wc_reference(mode, 2);
         let plan = FaultPlan::quiet().force(FaultSite::Alloc, "wc-map", Some(1), Some(0));
         let p = wc_params(mode);
         let report = run_job_faulty(
@@ -429,6 +474,38 @@ fn forced_oom_degrades_gracefully_and_keeps_the_answer() {
         assert!(report.metrics.oom_recoveries >= 1, "{mode}: spill-and-rerun not recorded");
         assert_eq!(report.metrics.retries, 0, "{mode}: in-place recovery must not charge a retry");
     }
+}
+
+#[test]
+fn natural_oom_during_message_emission_never_panics() {
+    // Spark-mode PageRank on one executor with heaps of 832 KB to 1 MB
+    // and a storage fraction of 0.8: the cached adjacency fills most of
+    // the heap, so the iteration's temporary message tuples and combine
+    // buffer run out of room while emitting. Every OOM must reach the
+    // driver as an error (absorbed by spill-and-rerun, or a typed task
+    // error), never panic the executor thread. One iteration suffices:
+    // later ones repeat the first.
+    let mut p = PrParams::small(ExecutionMode::Spark);
+    p.iterations = 1;
+    p.storage_fraction = 0.8;
+    let reference = run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1).checksum;
+    let mut emission_ooms = 0;
+    for kb in (832..=1024).step_by(64) {
+        p.heap_bytes = kb << 10;
+        let mut session = ClusterSession::new(1, pagerank::pr_config(&p).retry(matrix_policy()));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_job_on(&pagerank::job(&p), &mut session)
+        }))
+        .unwrap_or_else(|_| panic!("{kb} KB: an OOM while emitting messages panicked"));
+        match outcome {
+            Ok((checksum, _)) => assert_eq!(checksum, reference, "{kb} KB: OOM recovery drifted"),
+            Err(e) => assert!(matches!(e, EngineError::Task { .. }), "{kb} KB: untyped: {e}"),
+        }
+        let stages = session.stages();
+        emission_ooms +=
+            stages.iter().filter(|s| s.name == "pr-iter0-map" && s.oom_reruns > 0).count();
+    }
+    assert!(emission_ooms > 0, "no heap size ran out of memory while emitting messages");
 }
 
 #[test]

@@ -11,8 +11,8 @@
 mod util;
 
 use deca_apps::pagerank::{self, PrParams};
-use deca_apps::run_job_faulty;
 use deca_apps::wordcount::{self, WcParams};
+use deca_apps::{run_job_faulty, run_job_local, run_job_on};
 use deca_engine::{
     ClusterSession, ExecutionMode, FaultPlan, FaultSpec, JobMetrics, RetryPolicy, SchedulerMode,
 };
@@ -74,7 +74,7 @@ fn wordcount_is_bit_identical_across_plans_widths_and_fault_seeds() {
         let p = wc_params(mode);
         // Fault-free, width 1, default plan: the reference answer every
         // (plan, width, seed) cell must reproduce bit for bit.
-        let reference = wordcount::run_local(&p, 1).checksum;
+        let reference = run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 1).checksum;
         for seed in FAULT_SEEDS {
             let plan = FaultPlan::seeded(seed, storm());
             for gc in GcPlanKind::ALL {
@@ -106,7 +106,7 @@ fn pagerank_is_bit_identical_across_plans_widths_and_fault_seeds() {
     let td = TestDir::executor_default();
     for mode in [ExecutionMode::Spark, ExecutionMode::Deca] {
         let p = pr_params(mode);
-        let reference = pagerank::run_local(&p, 1).checksum;
+        let reference = run_job_local(&pagerank::job(&p), pagerank::pr_config(&p), 1).checksum;
         for seed in FAULT_SEEDS {
             let plan = FaultPlan::seeded(seed, storm());
             for gc in GcPlanKind::ALL {
@@ -159,10 +159,10 @@ fn recovery_rollups_are_scheduler_invariant_under_every_plan() {
                         .scheduler(sched),
                 );
                 session.install_faults(plan.clone());
-                let checksum = wordcount::run_on(&p, &mut session).unwrap_or_else(|e| {
-                    panic!("{gc}, {mode}, {sched}, seed {seed}: survivable WC died: {e}")
-                });
-                session.finish_job();
+                let (checksum, _) =
+                    run_job_on(&wordcount::job(&p), &mut session).unwrap_or_else(|e| {
+                        panic!("{gc}, {mode}, {sched}, seed {seed}: survivable WC died: {e}")
+                    });
                 (checksum, session.job_summary())
             };
             let (wave_sum, wave) = run(SchedulerMode::Wave);

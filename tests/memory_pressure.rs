@@ -3,11 +3,17 @@
 
 mod util;
 
-use deca_apps::logreg::{run, LrParams};
+use deca_apps::logreg::{job, lr_config, LrParams};
+use deca_apps::pagerank::{self, PrParams};
+use deca_apps::{run_job_local, run_job_on, AppReport};
 use deca_engine::record::HeapRecord;
-use deca_engine::{ExecutionMode, Executor, ExecutorConfig};
+use deca_engine::{ClusterSession, ExecutionMode, Executor, ExecutorConfig, RetryPolicy};
 
 use util::TestDir;
+
+fn lr_report(p: &LrParams) -> AppReport {
+    run_job_local(&job(p), lr_config(p), 1)
+}
 
 #[test]
 fn lr_survives_cache_larger_than_budget_in_all_modes() {
@@ -27,7 +33,7 @@ fn lr_survives_cache_larger_than_budget_in_all_modes() {
             seed: 31,
             sample_timeline: false,
         };
-        let r = run(&p);
+        let r = lr_report(&p);
         assert!(r.checksum.is_finite(), "{mode}: result must be computed");
     }
     td.cleanup();
@@ -49,8 +55,8 @@ fn evicted_results_match_resident_results() {
         seed: 32,
         sample_timeline: false,
     };
-    let resident = run(&mk(0.8));
-    let evicting = run(&mk(0.04));
+    let resident = lr_report(&mk(0.8));
+    let evicting = lr_report(&mk(0.04));
     assert!(
         (resident.checksum - evicting.checksum).abs() < 1e-12,
         "eviction round-trips (serialize -> disk -> deserialize) must not corrupt data"
@@ -75,8 +81,8 @@ fn deca_swap_roundtrip_preserves_data() {
         seed: 33,
         sample_timeline: false,
     };
-    let resident = run(&mk(0.8));
-    let evicting = run(&mk(0.02));
+    let resident = lr_report(&mk(0.8));
+    let evicting = lr_report(&mk(0.02));
     assert!((resident.checksum - evicting.checksum).abs() < 1e-12);
     td.cleanup();
 }
@@ -105,7 +111,7 @@ fn lr_is_correct_under_every_collector() {
             seed: 34,
             sample_timeline: false,
         };
-        results.push(run(&p).checksum);
+        results.push(lr_report(&p).checksum);
     }
     assert_eq!(results[0], results[1], "CMS (mark-sweep) must not corrupt data");
     assert_eq!(results[1], results[2]);
@@ -134,5 +140,23 @@ fn heap_oom_is_reported_not_corrupting() {
     }
     assert!(oom, "over-commit must surface as OomError");
     assert!(stored > 1_000, "a substantial prefix fit before OOM");
+    td.cleanup();
+}
+
+#[test]
+fn a_failed_adjacency_build_leaves_nothing_rooted() {
+    // A Spark-mode PageRank whose 768 KB heap cannot group one edge
+    // partition: every attempt of `adj-build` task 0, and its OOM re-run,
+    // runs out of heap. The failed attempts' grouping lists, partial
+    // cache arrays and stack temporaries must all be unrooted, or each
+    // retry starts with less heap than the one before.
+    let td = TestDir::executor_default();
+    let mut p = PrParams::small(ExecutionMode::Spark);
+    p.heap_bytes = 768 << 10;
+    let config = pagerank::pr_config(&p).retry(RetryPolicy::resilient());
+    let mut session = ClusterSession::new(1, config);
+    let err = run_job_on(&pagerank::job(&p), &mut session).expect_err("the heap was sized to fail");
+    assert!(err.to_string().contains("adj-build"), "the grouping stage fails: {err}");
+    assert_eq!(session.executor(0).heap.root_count(), 0, "a failed attempt left roots behind");
     td.cleanup();
 }

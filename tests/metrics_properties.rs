@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use deca_apps::report::AppReport;
+use deca_apps::run_job_on;
 use deca_apps::wordcount::{self, WcParams};
 use deca_check::property::{check, gens, Config};
 use deca_check::{prop_assert, prop_assert_eq};
@@ -65,8 +66,7 @@ fn job_recovery_rollup_equals_sum_of_stage_rollups() {
         let config = ExecutorConfig::new(mode, params.heap_bytes).retry(RetryPolicy::resilient());
         let mut session = ClusterSession::new(executors, config);
         session.install_faults(FaultPlan::seeded(seed as u64, storm()));
-        wordcount::run_on(&params, &mut session).expect("storm plans are survivable");
-        session.finish_job();
+        run_job_on(&wordcount::job(&params), &mut session).expect("storm plans are survivable");
 
         let job = session.job_summary();
         let stages = session.stages();
@@ -105,8 +105,8 @@ fn gc_ratio_denominators_agree_across_reporting_paths() {
         let params = wc_params(mode);
         let mut session =
             ClusterSession::new(executors, ExecutorConfig::new(mode, params.heap_bytes));
-        let checksum = wordcount::run_on(&params, &mut session).expect("fault-free run");
-        session.finish_job();
+        let (checksum, _) =
+            run_job_on(&wordcount::job(&params), &mut session).expect("fault-free run");
 
         let execs = &session.cluster().executors;
         let cluster_exec = execs.iter().map(|e| e.job.exec).max().unwrap();

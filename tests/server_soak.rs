@@ -15,7 +15,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use deca_apps::concomp::{self, CcParams};
 use deca_apps::pagerank::{self, PrParams};
+use deca_apps::run_job_local;
 use deca_apps::wordcount::{self, WcParams};
 use deca_engine::{
     AppJob, ClusterSession, DecaServer, EngineError, ExecutionMode, ExecutorConfig, FaultPlan,
@@ -560,7 +562,7 @@ fn cancel_storm_releases_tenant_cache_and_claim_slots() {
         // batch from the same tenant admits immediately and runs to
         // completion with the reference answer.
         let p = wc_params(ExecutionMode::Deca);
-        let reference = wordcount::run_local(&p, 1).checksum;
+        let reference = run_job_local(&wordcount::job(&p), wordcount::wc_config(&p), 1).checksum;
         let again: Vec<_> = (0..STORM_JOBS)
             .map(|_| {
                 server
@@ -580,6 +582,33 @@ fn cancel_storm_releases_tenant_cache_and_claim_slots() {
                 "{sched} follow-up {i}: checksum drifted after the cancel storm"
             );
         }
+    }
+}
+
+#[test]
+fn served_connected_components_match_the_standalone_run() {
+    // CC is an AppJob like the soak's workloads: on a shared Deca-mode
+    // server, each mode's job returns its standalone checksum.
+    let server = DecaServer::new(SERVER_EXECUTORS, base_config());
+    for mode in ExecutionMode::ALL {
+        let p = CcParams {
+            vertices: 400,
+            edges: 2_000,
+            max_iterations: 10,
+            partitions: 4,
+            heap_bytes: 24 << 20,
+            mode,
+            storage_fraction: 0.4,
+            seed: 9,
+        };
+        let reference =
+            run_job_local(&concomp::job(&p), concomp::cc_config(&p), JOB_WIDTH).checksum;
+        let served = server
+            .submit(JobSpec::new("cc").executors(JOB_WIDTH).app(concomp::job(&p)))
+            .expect("submit cc")
+            .wait()
+            .expect("cc completes");
+        assert_eq!(served.checksum, reference, "{mode}: served CC drifted from standalone");
     }
 }
 

@@ -36,7 +36,7 @@ impl TestDir {
 
     /// The directory that executors constructed with the default
     /// `ExecutorConfig` spill into on this thread — for tests that drive
-    /// whole workloads (`logreg::run` etc.) and cannot pass a path down.
+    /// whole workloads (`run_job_local` etc.) and cannot pass a path down.
     pub fn executor_default() -> TestDir {
         TestDir { path: ExecutorConfig::default_spill_dir() }
     }
